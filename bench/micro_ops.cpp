@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "metrics/metrics.hpp"
 #include "models/feature_extractor.hpp"
 #include "nn/conv3d.hpp"
+#include "nn/gemm.hpp"
 #include "retrieval/index.hpp"
 #include "video/synthetic.hpp"
 
@@ -115,6 +117,42 @@ BENCHMARK(BM_Conv3dBackward)
     ->Args({4, 1})
     ->Args({8, 1})
     ->Args({0, 1});
+
+// nn::gemm_accumulate at the six GEMM shapes of one C3D surrogate training
+// step (forward, weight gradient, input-gradient columns), serial and on a
+// pool of hardware-concurrency size (threads:0). The GFLOP counter is a rate
+// over wall time (GF/s), counting 2·m·k·n flops per call.
+struct GemmShape {
+  std::int64_t m, k, n;
+};
+constexpr std::array<GemmShape, 6> kC3dGemmShapes = {{
+    {8, 81, 2048}, {16, 216, 512}, {24, 432, 64},
+    {81, 2048, 8}, {216, 512, 16}, {216, 16, 512},
+}};
+
+void BM_Gemm(benchmark::State& state) {
+  const GemmShape s = kC3dGemmShapes[static_cast<std::size_t>(state.range(0))];
+  ComputePoolGuard guard(static_cast<std::size_t>(state.range(1)));
+  Rng rng(23);
+  const Tensor a = Tensor::uniform({s.m, s.k}, -1.0f, 1.0f, rng);
+  const Tensor b = Tensor::uniform({s.k, s.n}, -1.0f, 1.0f, rng);
+  Tensor c({s.m, s.n});
+  for (auto _ : state) {
+    nn::gemm_accumulate(s.m, s.k, s.n, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel("m" + std::to_string(s.m) + "k" + std::to_string(s.k) + "n" +
+                 std::to_string(s.n));
+  state.counters["GFLOP"] = benchmark::Counter(
+      2e-9 * static_cast<double>(s.m * s.k * s.n) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Gemm)
+    ->ArgNames({"shape", "threads"})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {1, 0}})
+    ->UseRealTime();
 
 // Whole-extractor forward pass (the victim-query hot path) at 1..N threads.
 void BM_ExtractThreads(benchmark::State& state) {

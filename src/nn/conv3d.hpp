@@ -13,7 +13,8 @@ namespace duo::nn {
 //  - kDirect: the scalar reference kernel (nested tap loops, parallel over
 //    output/input channels). Kept for verification: the gradient checker and
 //    the determinism suite compare the fast path against it.
-//  - kGemm:   im2col + register/cache-blocked GEMM (see nn/gemm.hpp),
+//  - kGemm:   im2col + register-tiled GEMM (see nn/gemm.hpp) for the
+//    forward, the weight gradient and the input-gradient columns,
 //    parallelized over row×column blocks of the output matrix. The forward
 //    accumulates each output element in the same tap order as the reference
 //    kernel, so forward features (and therefore retrieval lists) reproduce

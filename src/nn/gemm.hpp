@@ -1,6 +1,6 @@
 #pragma once
 
-// Register/cache-blocked single-precision GEMM for the im2col convolution
+// Register-tiled single-precision GEMM for the im2col convolution
 // path: C[m×n] += A[m×k]·B[k×n], all row-major.
 //
 // Determinism contract: every C element's accumulation chain starts from the
@@ -18,9 +18,12 @@
 namespace duo::nn {
 
 // C += A·B with the per-element ordering contract above. Parallelized over
-// row×column blocks of C on the compute pool; the inner kernel keeps a
-// register-blocked accumulator panel and streams each B row across all rows
-// of the tile, vectorizing over columns.
+// fixed 16×128 blocks of C on the compute pool. Inside a block, a register-
+// tiled micro-kernel walks 32-column strips, then 16- and 8-column tails,
+// then single columns; each tile (up to 8 rows × 32 columns) loads its C
+// elements into registers once, adds one fused multiply-add per k for every
+// element, and stores them once. The FMA depends on -ffp-contract=fast,
+// which the build pins (src/nn/CMakeLists.txt).
 void gemm_accumulate(std::int64_t m, std::int64_t k, std::int64_t n,
                      const float* a, const float* b, float* c);
 

@@ -32,29 +32,37 @@ void im2col(const Im2colGeom& g, const float* x, float* out) {
   const auto [st, sh, sw] = g.stride;
   const auto [pt, ph, pw] = g.padding;
 
-  compute_pool().parallel_for(static_cast<std::size_t>(rows), [&](std::size_t r) {
-    const TapCoords tap = tap_coords(static_cast<std::int64_t>(r), g.kernel);
-    const float* xc = x + tap.ci * g.ti * g.hi * g.wi;
-    float* orow = out + static_cast<std::int64_t>(r) * cols;
-    std::int64_t n = 0;
-    for (std::int64_t ot = 0; ot < g.to; ++ot) {
-      const std::int64_t it = ot * st - pt + tap.dt;
-      if (it < 0 || it >= g.ti) {
-        std::fill(orow + n, orow + n + g.ho * g.wo, 0.0f);
-        n += g.ho * g.wo;
-        continue;
-      }
-      for (std::int64_t oh = 0; oh < g.ho; ++oh) {
-        const std::int64_t ih = oh * sh - ph + tap.dh;
-        if (ih < 0 || ih >= g.hi) {
-          std::fill(orow + n, orow + n + g.wo, 0.0f);
-          n += g.wo;
+  // One task per input channel, writing that channel's kvol rows (the
+  // partition col2im_accumulate uses).
+  const std::int64_t kvol = g.kernel[0] * g.kernel[1] * g.kernel[2];
+  compute_pool().parallel_for(
+      static_cast<std::size_t>(g.cin), [&](std::size_t ci_idx) {
+    const auto ci = static_cast<std::int64_t>(ci_idx);
+    const float* xc = x + ci * g.ti * g.hi * g.wi;
+    for (std::int64_t kk = 0; kk < kvol; ++kk) {
+      const std::int64_t row = ci * kvol + kk;
+      const TapCoords tap = tap_coords(row, g.kernel);
+      float* orow = out + row * cols;
+      std::int64_t n = 0;
+      for (std::int64_t ot = 0; ot < g.to; ++ot) {
+        const std::int64_t it = ot * st - pt + tap.dt;
+        if (it < 0 || it >= g.ti) {
+          std::fill(orow + n, orow + n + g.ho * g.wo, 0.0f);
+          n += g.ho * g.wo;
           continue;
         }
-        const float* xrow = xc + (it * g.hi + ih) * g.wi;
-        for (std::int64_t ow = 0; ow < g.wo; ++ow, ++n) {
-          const std::int64_t iw = ow * sw - pw + tap.dw;
-          orow[n] = (iw >= 0 && iw < g.wi) ? xrow[iw] : 0.0f;
+        for (std::int64_t oh = 0; oh < g.ho; ++oh) {
+          const std::int64_t ih = oh * sh - ph + tap.dh;
+          if (ih < 0 || ih >= g.hi) {
+            std::fill(orow + n, orow + n + g.wo, 0.0f);
+            n += g.wo;
+            continue;
+          }
+          const float* xrow = xc + (it * g.hi + ih) * g.wi;
+          for (std::int64_t ow = 0; ow < g.wo; ++ow, ++n) {
+            const std::int64_t iw = ow * sw - pw + tap.dw;
+            orow[n] = (iw >= 0 && iw < g.wi) ? xrow[iw] : 0.0f;
+          }
         }
       }
     }

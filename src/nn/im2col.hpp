@@ -31,8 +31,9 @@ struct Im2colGeom {
 };
 
 // Fill `out` [rows() × cols(), row-major] from x [Cin, Ti, Hi, Wi].
-// Sharded over patch-matrix rows on the compute pool; rows are disjoint, so
-// the result is bitwise identical across thread counts.
+// Sharded over input channels on the compute pool (each channel owns its
+// kvol patch-matrix rows); shards write disjoint rows, so the result is
+// bitwise identical across thread counts.
 void im2col(const Im2colGeom& g, const float* x, float* out);
 
 // Scatter-accumulate the patch-matrix gradient back: for every (row, col)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +16,14 @@
 namespace duo::serve {
 
 namespace {
+
+// What a submit to a crashed server gets: the retryable connection-lost
+// error, unbilled because nothing was accepted.
+std::exception_ptr server_down_error() {
+  return std::make_exception_ptr(
+      ServeError(ServeErrorCode::kConnectionLost, /*billed=*/false,
+                 "RetrievalServer: server crashed; reconnect and retry"));
+}
 
 // q-th percentile (nearest-rank on the sorted order) of `xs`; mutates `xs`.
 double percentile(std::vector<double>& xs, double q) {
@@ -99,6 +108,15 @@ bool RetrievalServer::enqueue(Request& req,
                               const std::chrono::milliseconds* deadline,
                               const RequestOptions& opts) {
   req.client_id = opts.client_id;
+  // A crashed server is down: it answers nothing and charges nothing, so the
+  // check comes before rate limiting. Reconnect attempts during the downtime
+  // must not drain the client's bucket and get it throttled off its retry
+  // budget. A crash that lands after this check is caught under the queue
+  // lock below.
+  if (crashed_.load(std::memory_order_acquire)) {
+    req.promise.set_exception(server_down_error());
+    return false;
+  }
   // Rate limiting first: a throttled request must not even contend for queue
   // space, and the decision needs no queue lock.
   if (limiter_ != nullptr) {
@@ -143,10 +161,7 @@ bool RetrievalServer::enqueue(Request& req,
       const bool crashed = crashed_.load(std::memory_order_relaxed);
       lock.unlock();
       if (crashed) {
-        req.promise.set_exception(std::make_exception_ptr(
-            ServeError(ServeErrorCode::kConnectionLost, /*billed=*/false,
-                       "RetrievalServer: server crashed; reconnect and "
-                       "retry")));
+        req.promise.set_exception(server_down_error());
       } else {
         req.promise.set_exception(std::make_exception_ptr(
             ServeError(ServeErrorCode::kShutdown, /*billed=*/false,

@@ -451,6 +451,49 @@ TEST(CrashRecovery, CrashFailsQueuedRequestsBilledAndRestartResumes) {
   EXPECT_THROW(server.restart(bad), std::logic_error);
 }
 
+// A crashed server is down, so it must not run its rate limiter either:
+// reconnect attempts during the downtime bounce as connection losses
+// without spending the client's tokens. Otherwise a resilient client that
+// resubmits through the downtime drains its bucket, gets throttled, and
+// spends its retry attempts before the restart (the campaign crash
+// schedule then fails intermittently, depending on how long the restart
+// takes in real time).
+TEST(CrashRecovery, SubmitsWhileCrashedDoNotSpendRateLimitTokens) {
+  auto& w = TinyWorld::mutable_instance();
+  const auto& v = w.dataset.train[2];
+  const auto ref = w.victim->retrieve(v, 8);
+
+  serve::ServerConfig scfg;
+  scfg.clock = std::make_shared<serve::VirtualClock>();  // no refill
+  scfg.client_rate = 500.0;
+  scfg.client_burst = 2.0;
+  serve::RetrievalServer server(*w.victim, scfg);
+  serve::RequestOptions opts;
+  opts.client_id = "reconnecting-client";
+
+  server.crash();
+  for (int i = 0; i < 5; ++i) {
+    auto f = server.submit(v, 8, opts);
+    try {
+      (void)f.get();
+      FAIL() << "submit while crashed must fail";
+    } catch (const serve::ServeError& e) {
+      EXPECT_TRUE(e.connection_lost()) << "attempt " << i << ": " << e.what();
+      EXPECT_FALSE(e.billed());
+    }
+  }
+  const serve::ServerSnapshot snap = server.snapshot();
+  EXPECT_EQ(snap.requests_throttled, 0);
+
+  // The full burst is still there after the restart, at the same clock time.
+  server.restart(snap);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(server.submit(v, 8, opts).get(), ref) << "request " << i;
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().requests_throttled, 0);
+}
+
 TEST(CrashRecovery, RestartWithoutSnapshotStartsFreshLedger) {
   auto& w = TinyWorld::mutable_instance();
   const auto& v = w.dataset.train[3];
