@@ -5,8 +5,8 @@
 # extraction kernels, and the serve layer's MPMC queue + micro-batching
 # scheduler are the code most likely to regress into a data race; this
 # script configures a dedicated build tree with -DDUO_SANITIZE=thread and
-# runs the thread-pool, parallel-determinism, serve, and pipelined-attack
-# suites under TSan.
+# runs the thread-pool, parallel-determinism, serve, and SparseQuery suites
+# under TSan (the one Algorithm 2 loop, over blocking and served handles).
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -32,7 +32,7 @@ cmake --build "$build_dir" -j "$(nproc)" \
 # from the uninstrumented libstdc++ (see the file for details).
 export TSAN_OPTIONS="suppressions=$repo_root/scripts/tsan.supp ${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "$build_dir" \
-  -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQueryPipelined|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
+  -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
   --output-on-failure --timeout 1800
 
 # The overload soak stresses the admission controller, rate limiter, pacer,

@@ -28,11 +28,12 @@ AttackOutcome DuoAttack::run(const video::Video& v, const video::Video& v_t,
   return run_impl(v, v_t, victim);
 }
 
-// The pipeline body, shared by both handle types. The only handle-dependent
-// step is the inner query loop: a plain BlackBoxHandle runs the serial
-// sparse_query, a ResilientHandle runs sparse_query_pipelined (two
-// candidates in flight through the retry policy). Both expose query_count()
-// with victim-side billing semantics, so the accounting below is identical.
+// The pipeline body, shared by both handle types. Both run the one
+// Algorithm 2 loop (attack/sparse_query.hpp); the handle only decides how
+// its queries travel: a plain BlackBoxHandle submits lazily (serial query
+// order), a ResilientHandle keeps both candidates in flight through the
+// retry policy. Both expose query_count() with victim-side billing
+// semantics, so the accounting below is identical.
 template <typename Handle>
 AttackOutcome DuoAttack::run_impl(const video::Video& v,
                                   const video::Video& v_t, Handle& victim) {

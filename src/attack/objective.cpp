@@ -2,18 +2,6 @@
 
 namespace duo::attack {
 
-ObjectiveContext make_objective_context(retrieval::BlackBoxHandle& victim,
-                                        const video::Video& v,
-                                        const video::Video& v_t, std::size_t m,
-                                        double eta) {
-  ObjectiveContext ctx;
-  ctx.m = m;
-  ctx.eta = eta;
-  ctx.list_v = victim.retrieve(v, m);
-  ctx.list_vt = victim.retrieve(v_t, m);
-  return ctx;
-}
-
 double t_loss_from_list(const metrics::RetrievalList& list_adv,
                         const ObjectiveContext& ctx) {
   if (ctx.untargeted) {

@@ -22,7 +22,9 @@ struct ObjectiveContext {
   bool untargeted = false;
 };
 
-// Fetch the two reference lists (costs two black-box queries).
+// Fetch the two reference lists (costs two black-box queries, v first).
+// Defined in attack/sparse_query.cpp with its async twins: one body over the
+// handles' shared submit()/get() shape.
 ObjectiveContext make_objective_context(retrieval::BlackBoxHandle& victim,
                                         const video::Video& v,
                                         const video::Video& v_t, std::size_t m,

@@ -36,7 +36,7 @@ struct SparseQueryConfig {
   int patience = 0;
 
   // Checkpoint/resume (attack/checkpoint.hpp). With a non-empty
-  // checkpoint_path the driver atomically saves its full state every
+  // checkpoint_path the loop atomically saves its full state every
   // checkpoint_every iterations and — crucially — right before rethrowing a
   // fatal victim error, so no billed query is ever more than one iteration
   // from a durable record. With resume = true a matching checkpoint (same
@@ -62,49 +62,52 @@ struct SparseQueryResult {
   double final_t = 0.0;
 };
 
-// Runs Algorithm 2 starting from v_adv⁰ = v + φ. `ctx` carries the reference
-// lists R^m(v) and R^m(v_t).
+// Algorithm 2 has one loop body; the handle decides how its queries travel.
+// Each step submits its +ε and −ε candidates, then reads +ε and reads −ε
+// only if +ε was rejected (Alg. 2 line 11). For the same seed and config the
+// accepted-perturbation sequence — t_history and the final v_adv — is
+// therefore bitwise identical over every handle; only queries_spent (the
+// handle's victim-side billing) differs.
+
+// Over a blocking BlackBoxHandle, submission is lazy: a candidate is sent
+// and billed only when its answer is read, so the unread −ε candidate costs
+// nothing and the victim sees exactly the serial query sequence. Starts from
+// v_adv⁰ = v + φ; `ctx` carries the reference lists R^m(v) and R^m(v_t).
 SparseQueryResult sparse_query(const video::Video& v,
                                const Perturbation& perturbation,
                                retrieval::BlackBoxHandle& victim,
                                const ObjectiveContext& ctx,
                                const SparseQueryConfig& config);
 
-// Opt-in pipelined Algorithm 2 against an asynchronously served victim:
-// each step launches the +ε and −ε candidate forwards concurrently and does
-// its perturbation bookkeeping (candidate construction, commit/revert) while
-// they are in flight, hiding victim latency. Acceptance decisions replay the
-// serial order (+ε first, then −ε), so for the same seed and config the
-// accepted-perturbation sequence — and therefore t_history and the final
-// v_adv — is bitwise identical to sparse_query. Query accounting is honest:
-// a speculative −ε forward counts even when the +ε candidate is accepted and
-// its answer goes unused, so queries_spent is ≥ the serial count.
+// Over an asynchronously served victim, submission is in flight: both
+// candidate forwards run while the step does its bookkeeping, hiding victim
+// latency. A speculative −ε forward counts even when +ε is accepted and its
+// answer goes unused, so queries_spent is ≥ the serial count.
 SparseQueryResult sparse_query_pipelined(const video::Video& v,
                                          const Perturbation& perturbation,
                                          serve::AsyncBlackBoxHandle& victim,
                                          const ObjectiveContext& ctx,
                                          const SparseQueryConfig& config);
 
-// Pipelined Algorithm 2 through the retrying client policy
-// (serve/resilient.hpp): transient victim faults are absorbed by retries —
-// against a deterministic victim the answers, and therefore the final video,
-// stay bitwise identical to a fault-free run; only queries_spent (victim-side
-// billing, retries included) and wall time grow. Fatal faults propagate as
-// serve::ServeError after a best-effort checkpoint (when configured).
+// In flight through the retrying client policy (serve/resilient.hpp):
+// transient victim faults are absorbed by retries — against a deterministic
+// victim the answers, and therefore the final video, stay bitwise identical
+// to a fault-free run; only queries_spent (retries included) and wall time
+// grow. Fatal faults propagate as serve::ServeError after a best-effort
+// checkpoint (when configured).
 SparseQueryResult sparse_query_pipelined(const video::Video& v,
                                          const Perturbation& perturbation,
                                          serve::ResilientHandle& victim,
                                          const ObjectiveContext& ctx,
                                          const SparseQueryConfig& config);
 
-// Async twin of make_objective_context (attack/objective.hpp): fetches
-// R^m(v) and R^m(v_t) with both queries in flight at once.
+// Async twins of make_objective_context (attack/objective.hpp): R^m(v) and
+// R^m(v_t) with both queries in flight at once.
 ObjectiveContext make_objective_context(serve::AsyncBlackBoxHandle& victim,
                                         const video::Video& v,
                                         const video::Video& v_t, std::size_t m,
                                         double eta = 1.0);
 
-// Same, through the retry policy.
 ObjectiveContext make_objective_context(serve::ResilientHandle& victim,
                                         const video::Video& v,
                                         const video::Video& v_t, std::size_t m,

@@ -52,6 +52,51 @@ bool read_f64(std::istream& in, double& value) {
   return true;
 }
 
+namespace {
+
+constexpr std::int64_t kMaxElements = std::numeric_limits<std::int32_t>::max();
+
+// Length fields are untrusted: true only when `count` items of `item_bytes`
+// each fit in what is left of `in`, so nothing is allocated for a payload
+// the stream cannot hold. Measured by seeking to the end and back, which
+// file and string streams both support; a stream that cannot report its
+// position keeps only the kMaxElements cap.
+bool stream_holds(std::istream& in, std::int64_t count,
+                  std::size_t item_bytes) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return true;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (!in || end == std::istream::pos_type(-1) || end < here) return false;
+  return static_cast<std::uint64_t>(count) <=
+         static_cast<std::uint64_t>(end - here) / item_bytes;
+}
+
+template <typename T>
+void write_vec(std::ostream& out, const std::vector<T>& v) {
+  write_i64(out, static_cast<std::int64_t>(v.size()));
+  out.write(reinterpret_cast<const char*>(v.data()),
+            static_cast<std::streamsize>(v.size() * sizeof(T)));
+}
+
+template <typename T>
+bool read_vec(std::istream& in, std::vector<T>& v) {
+  std::int64_t size = 0;
+  if (!read_i64(in, size) || size < 0 || size > kMaxElements ||
+      !stream_holds(in, size, sizeof(T))) {
+    return false;
+  }
+  std::vector<T> staged(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(staged.data()),
+          static_cast<std::streamsize>(staged.size() * sizeof(T)));
+  if (!in) return false;
+  v = std::move(staged);
+  return true;
+}
+
+}  // namespace
+
 void write_tensor(std::ostream& out, const Tensor& t) {
   write_i64(out, static_cast<std::int64_t>(t.rank()));
   for (std::size_t d = 0; d < t.rank(); ++d) write_i64(out, t.dim(d));
@@ -63,12 +108,20 @@ bool read_tensor(std::istream& in, Tensor& t) {
   std::int64_t rank = 0;
   if (!read_i64(in, rank) || rank < 0 || rank > 8) return false;
   Tensor::Shape shape(static_cast<std::size_t>(rank));
-  std::int64_t elements = 1;
+  // Product of the non-zero dims, checked before each multiply: it bounds
+  // every partial product, so no dim order can overflow, zero dims included.
+  std::int64_t nonzero = 1;
+  bool empty = false;
   for (auto& dim : shape) {
     if (!read_i64(in, dim) || dim < 0) return false;
-    elements *= dim;
-    if (elements > std::numeric_limits<std::int32_t>::max()) return false;
+    if (dim == 0) {
+      empty = true;
+      continue;
+    }
+    if (dim > kMaxElements / nonzero) return false;
+    nonzero *= dim;
   }
+  if (!stream_holds(in, empty ? 0 : nonzero, sizeof(float))) return false;
   Tensor staged(std::move(shape));
   in.read(reinterpret_cast<char*>(staged.data()),
           static_cast<std::streamsize>(staged.size() * sizeof(float)));
@@ -78,103 +131,34 @@ bool read_tensor(std::istream& in, Tensor& t) {
 }
 
 void write_i64_vec(std::ostream& out, const std::vector<std::int64_t>& v) {
-  write_i64(out, static_cast<std::int64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(std::int64_t)));
+  write_vec(out, v);
 }
-
 bool read_i64_vec(std::istream& in, std::vector<std::int64_t>& v) {
-  std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::vector<std::int64_t> staged(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(staged.data()),
-          static_cast<std::streamsize>(staged.size() * sizeof(std::int64_t)));
-  if (!in) return false;
-  v = std::move(staged);
-  return true;
+  return read_vec(in, v);
 }
-
 void write_f64_vec(std::ostream& out, const std::vector<double>& v) {
-  write_i64(out, static_cast<std::int64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(double)));
+  write_vec(out, v);
 }
-
 bool read_f64_vec(std::istream& in, std::vector<double>& v) {
-  std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::vector<double> staged(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(staged.data()),
-          static_cast<std::streamsize>(staged.size() * sizeof(double)));
-  if (!in) return false;
-  v = std::move(staged);
-  return true;
+  return read_vec(in, v);
 }
-
 void write_f32_vec(std::ostream& out, const std::vector<float>& v) {
-  write_i64(out, static_cast<std::int64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(float)));
+  write_vec(out, v);
 }
-
 bool read_f32_vec(std::istream& in, std::vector<float>& v) {
-  std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::vector<float> staged(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(staged.data()),
-          static_cast<std::streamsize>(staged.size() * sizeof(float)));
-  if (!in) return false;
-  v = std::move(staged);
-  return true;
+  return read_vec(in, v);
 }
-
 void write_i32_vec(std::ostream& out, const std::vector<int>& v) {
-  write_i64(out, static_cast<std::int64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(int)));
+  write_vec(out, v);
 }
-
 bool read_i32_vec(std::istream& in, std::vector<int>& v) {
-  std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::vector<int> staged(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(staged.data()),
-          static_cast<std::streamsize>(staged.size() * sizeof(int)));
-  if (!in) return false;
-  v = std::move(staged);
-  return true;
+  return read_vec(in, v);
 }
-
 void write_i8_vec(std::ostream& out, const std::vector<std::int8_t>& v) {
-  write_i64(out, static_cast<std::int64_t>(v.size()));
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size()));
+  write_vec(out, v);
 }
-
 bool read_i8_vec(std::istream& in, std::vector<std::int8_t>& v) {
-  std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 ||
-      size > std::numeric_limits<std::int32_t>::max()) {
-    return false;
-  }
-  std::vector<std::int8_t> staged(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(staged.data()),
-          static_cast<std::streamsize>(staged.size()));
-  if (!in) return false;
-  v = std::move(staged);
-  return true;
+  return read_vec(in, v);
 }
 
 void write_string(std::ostream& out, const std::string& s) {

@@ -40,12 +40,14 @@ void write_f64(std::ostream& out, double value);
 bool read_f64(std::istream& in, double& value);
 
 // Tensor: rank, dims, then the float payload. read_tensor validates the
-// header (rank <= 8, non-negative dims, element count < 2^31) before
+// header (rank <= 8, non-negative dims, element count < 2^31 without
+// overflow, payload no larger than the rest of the stream) before
 // allocating, so a corrupt file cannot trigger a huge allocation.
 void write_tensor(std::ostream& out, const Tensor& t);
 bool read_tensor(std::istream& in, Tensor& t);
 
-// Length-prefixed vectors.
+// Length-prefixed vectors. Readers reject a length below 0, at or above
+// 2^31, or past the end of the stream before allocating.
 void write_i64_vec(std::ostream& out, const std::vector<std::int64_t>& v);
 bool read_i64_vec(std::istream& in, std::vector<std::int64_t>& v);
 void write_f64_vec(std::ostream& out, const std::vector<double>& v);

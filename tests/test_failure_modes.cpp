@@ -356,13 +356,20 @@ TEST(FailureModes, CheckpointResumeReproducesUninterruptedRun) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = 12;
-    serve::FaultySystem faulty(*w.victim, faults);
-    retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
+    serve::ServerConfig scfg;
+    scfg.fault_injector = std::make_shared<serve::FaultInjector>(faults);
+    serve::RetrievalServer server(*w.victim, scfg);
+    serve::AsyncBlackBoxHandle async(server);
+    retrieval::BlackBoxHandle handle(
+        [&async](const video::Video& q, std::size_t m) {
+          return async.retrieve(q, m);
+        });
     attack::SparseQueryConfig killed = cfg;
     killed.checkpoint_path = serial_path;
     killed.checkpoint_every = 4;
     EXPECT_THROW((void)attack::sparse_query(v, pert, handle, ctx, killed),
                  serve::ServeError);
+    server.shutdown();
   }
   {
     attack::SparseQueryConfig resumed_cfg = cfg;
@@ -475,10 +482,17 @@ TEST(FailureModes, DuoSurvivesFaultsAndKillResume) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = ref.queries * 3 / 4;
-    serve::FaultySystem faulty(*w.victim, faults);
-    retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
+    serve::ServerConfig scfg;
+    scfg.fault_injector = std::make_shared<serve::FaultInjector>(faults);
+    serve::RetrievalServer server(*w.victim, scfg);
+    serve::AsyncBlackBoxHandle async(server);
+    retrieval::BlackBoxHandle handle(
+        [&async](const video::Video& q, std::size_t m) {
+          return async.retrieve(q, m);
+        });
     attack::DuoAttack killed_attack(*w.surrogate, ck_cfg);
     EXPECT_THROW((void)killed_attack.run(v, vt, handle), serve::ServeError);
+    server.shutdown();
   }
   {
     attack::DuoConfig resumed_cfg = ck_cfg;
@@ -952,11 +966,18 @@ TEST(FailureModes, DuoCheckpointGcRemovesFilesOnlyOnCleanFinish) {
   {
     serve::FaultConfig faults;
     faults.fatal_at = clean.queries / 2;
-    serve::FaultySystem faulty(*w.victim, faults);
-    retrieval::BlackBoxHandle handle(faulty.retrieve_fn());
+    serve::ServerConfig scfg;
+    scfg.fault_injector = std::make_shared<serve::FaultInjector>(faults);
+    serve::RetrievalServer server(*w.victim, scfg);
+    serve::AsyncBlackBoxHandle async(server);
+    retrieval::BlackBoxHandle handle(
+        [&async](const video::Video& q, std::size_t m) {
+          return async.retrieve(q, m);
+        });
     attack::DuoAttack killed_attack(*w.surrogate, cfg);
     EXPECT_THROW((void)killed_attack.run(v, vt, handle), serve::ServeError);
     EXPECT_TRUE(file_exists(duo_path));
+    server.shutdown();
   }
 
   // Resume reproduces the clean result bitwise, then cleans up after itself.

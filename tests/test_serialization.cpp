@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "attack/checkpoint.hpp"
 #include "models/feature_extractor.hpp"
@@ -188,6 +189,67 @@ TEST(SerializationIo, CorruptTensorHeadersRejectedBeforeAllocation) {
     io::write_f64(buf, 1.0);
     Tensor t;
     EXPECT_FALSE(io::read_tensor(buf, t));
+  }
+}
+
+// A rank-2 header {2, INT64_MAX} used to wrap the element count to -2, pass
+// the size cap and reach Tensor(shape). The count is checked before each
+// multiply now; the target keeps its old contents.
+TEST(SerializationIo, OverflowingTensorShapeRejected) {
+  for (const auto& dims : std::vector<std::vector<std::int64_t>>{
+           {2, std::numeric_limits<std::int64_t>::max()},
+           {0, std::numeric_limits<std::int64_t>::max()},
+           {std::numeric_limits<std::int64_t>::max(), 0, 4},
+           {1 << 16, 1 << 16}}) {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, static_cast<std::int64_t>(dims.size()));
+    for (const auto d : dims) io::write_i64(buf, d);
+    Tensor t({3}, 7.0f);
+    EXPECT_FALSE(io::read_tensor(buf, t)) << "dims[0] = " << dims[0];
+    ASSERT_EQ(t.size(), 3);
+    EXPECT_EQ(t[0], 7.0f);
+  }
+}
+
+// A length field that claims more than the stream holds is rejected before
+// anything is allocated (these claims would ask for 8-16 GiB), and the
+// target is left as it was.
+TEST(SerializationIo, LengthBeyondStreamRejectedBeforeAllocation) {
+  const std::int64_t huge = std::numeric_limits<std::int32_t>::max();
+  {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, huge);
+    io::write_i64(buf, 5);
+    std::vector<std::int64_t> v = {1, 2};
+    EXPECT_FALSE(io::read_i64_vec(buf, v));
+    EXPECT_EQ(v, (std::vector<std::int64_t>{1, 2}));
+  }
+  {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, huge);
+    io::write_f64(buf, 0.5);
+    std::vector<double> v = {3.0};
+    EXPECT_FALSE(io::read_f64_vec(buf, v));
+    EXPECT_EQ(v, std::vector<double>{3.0});
+  }
+  {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_i64(buf, 2);
+    io::write_i64(buf, 1 << 15);
+    io::write_i64(buf, 1 << 15);
+    io::write_f64(buf, 0.5);
+    Tensor t({2}, 4.0f);
+    EXPECT_FALSE(io::read_tensor(buf, t));
+    ASSERT_EQ(t.size(), 2);
+    EXPECT_EQ(t[1], 4.0f);
+  }
+  // A length that exactly matches the rest of the stream still loads.
+  {
+    std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+    io::write_f64_vec(buf, {1.5, -2.0});
+    std::vector<double> v;
+    EXPECT_TRUE(io::read_f64_vec(buf, v));
+    EXPECT_EQ(v, (std::vector<double>{1.5, -2.0}));
   }
 }
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "attack/sparse_query.hpp"
 #include "baselines/vanilla.hpp"
 #include "fixtures.hpp"
 #include "serve/async_handle.hpp"
+#include "serve/resilient.hpp"
 #include "serve/server.hpp"
 
 namespace duo::attack {
@@ -22,6 +25,96 @@ Perturbation small_support(const video::Video& v, std::uint64_t seed,
       Tensor::uniform(v.geometry().tensor_shape(), -theta, theta, rng);
   p.magnitude() = noise * p.pixel_mask() * p.frame_mask();
   return p;
+}
+
+// Straight-line Algorithm 2, written apart from the library loop as its
+// reference: step plan, deck shuffle, ±ε with CLIP, quantized queries, no
+// checkpointing and no pending results. Counts its own queries, and the
+// candidates skipped because CLIP left them unchanged.
+struct OracleRun {
+  std::vector<double> t_history;
+  Tensor v_adv;
+  std::int64_t queries = 0;
+  std::int64_t skipped = 0;
+};
+
+OracleRun straight_line_alg2(const video::Video& v, const Perturbation& p,
+                             retrieval::RetrievalSystem& victim,
+                             const ObjectiveContext& ctx,
+                             const SparseQueryConfig& cfg) {
+  OracleRun out;
+  const auto rounded = [](Tensor x) {
+    for (auto& e : x.flat()) e = std::round(e);
+    return x;
+  };
+  const auto t_of = [&](const Tensor& x) {
+    ++out.queries;
+    const video::Video q(rounded(x), v.geometry(), v.label(), v.id());
+    return t_loss_from_list(victim.retrieve(q, ctx.m), ctx);
+  };
+
+  const Tensor phi = p.combined();
+  const Tensor mask = p.pixel_mask() * p.frame_mask();
+  std::vector<std::int64_t> support;
+  double theta_mass = 0.0;
+  for (std::int64_t i = 0; i < mask.size(); ++i) {
+    if (mask[i] > 0.5f) {
+      support.push_back(i);
+      theta_mass += std::fabs(phi[i]);
+    }
+  }
+  const float theta_mean = static_cast<float>(theta_mass / support.size());
+  const float eps =
+      std::max(1.0f, theta_mean >= 1.0f ? theta_mean : cfg.tau * 0.25f);
+  const std::size_t group =
+      cfg.coords_per_step > 0
+          ? static_cast<std::size_t>(cfg.coords_per_step)
+          : std::clamp<std::size_t>(support.size() / 12, 1, 64);
+
+  Tensor x = p.apply_to(v).data();
+  double t = t_of(x);
+  out.t_history.push_back(t);
+  Rng rng(cfg.seed);
+  std::vector<std::int64_t> deck = support;
+  rng.shuffle(deck);
+  std::size_t pos = 0;
+  int stall = 0;
+  for (int kappa = 1; kappa < cfg.iter_numQ &&
+                      !(cfg.patience > 0 && stall >= cfg.patience);
+       ++kappa) {
+    std::vector<std::int64_t> coords;
+    while (coords.size() < group) {
+      if (pos == deck.size()) {
+        rng.shuffle(deck);
+        pos = 0;
+      }
+      coords.push_back(deck[pos++]);
+    }
+    bool accepted = false;
+    for (const float xi : {eps, -eps}) {
+      Tensor cand = x;
+      for (const auto c : coords) {
+        const float lo = std::max(0.0f, v.data()[c] - cfg.tau);
+        const float hi = std::min(255.0f, v.data()[c] + cfg.tau);
+        cand[c] = std::clamp(x[c] + xi, lo, hi);
+      }
+      if (cand.allclose(x, 0.0f)) {
+        ++out.skipped;
+        continue;
+      }
+      const double t_cand = t_of(cand);
+      if (t_cand < t) {
+        t = t_cand;
+        x = std::move(cand);
+        accepted = true;
+        break;
+      }
+    }
+    out.t_history.push_back(t);
+    stall = accepted ? 0 : stall + 1;
+  }
+  out.v_adv = rounded(std::move(x));
+  return out;
 }
 
 TEST(SparseQuery, THistoryIsMonotoneNonIncreasing) {
@@ -239,6 +332,71 @@ TEST(SparseQueryPipelined, MatchesSerialBitwise) {
     EXPECT_GE(piped.queries_spent, serial.queries_spent);
     EXPECT_EQ(piped.queries_spent + 2 /*context fetches*/,
               async.query_count());
+  }
+}
+
+// The one Algorithm 2 loop against the straight-line reference. Over a
+// blocking BlackBoxHandle the loop must take exactly the reference's steps
+// and bill exactly its queries: an unread −ε candidate is never sent. The
+// second config starts every support pixel on its upper τ bound, so +ε
+// clips to "unchanged" and the skip path runs. Through the resilient client
+// the outcome is the same; speculation may only add queries.
+TEST(SparseQuery, MatchesStraightLineOracle) {
+  auto& w = TinyWorld::mutable_instance();
+  const auto& vt = w.dataset.train[24];
+
+  // Integral pixels put v + τ exactly on a reachable value.
+  const video::Video& raw = w.dataset.train[20];
+  Tensor integral = raw.data();
+  for (auto& x : integral.flat()) x = std::round(x);
+  const video::Video v(std::move(integral), raw.geometry(), raw.label(),
+                       raw.id());
+
+  SparseQueryConfig noisy;
+  noisy.iter_numQ = 40;
+  noisy.tau = 30.0f;
+  noisy.m = 8;
+  SparseQueryConfig on_bound = noisy;
+  on_bound.tau = 4.0f;
+  Perturbation at_bound = small_support(v, 13);
+  at_bound.magnitude() =
+      at_bound.pixel_mask() * at_bound.frame_mask() * on_bound.tau;
+
+  struct Case {
+    const char* name;
+    Perturbation p;
+    SparseQueryConfig cfg;
+    bool skips;
+  };
+  // θ up to ±40 moves the retrieval list, so some steps are accepted.
+  const Case cases[] = {{"noisy", small_support(v, 12, 40.0f), noisy, false},
+                        {"on_bound", at_bound, on_bound, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    retrieval::BlackBoxHandle handle(*w.victim);
+    const auto ctx = make_objective_context(handle, v, vt, 8);
+    const OracleRun want = straight_line_alg2(v, c.p, *w.victim, ctx, c.cfg);
+    if (c.skips) {
+      EXPECT_GT(want.skipped, 0);
+    }
+
+    const auto got = sparse_query(v, c.p, handle, ctx, c.cfg);
+    EXPECT_EQ(got.t_history, want.t_history);
+    EXPECT_EQ(got.final_t, want.t_history.back());
+    ASSERT_EQ(got.v_adv.data().size(), want.v_adv.size());
+    for (std::int64_t i = 0; i < want.v_adv.size(); ++i) {
+      ASSERT_EQ(got.v_adv.data()[i], want.v_adv[i]) << "flat index " << i;
+    }
+    EXPECT_EQ(got.queries_spent, want.queries);
+
+    serve::RetrievalServer server(*w.victim);
+    serve::AsyncBlackBoxHandle async(server);
+    serve::ResilientHandle resilient(async);
+    const auto piped = sparse_query_pipelined(v, c.p, resilient, ctx, c.cfg);
+    server.shutdown();
+    EXPECT_EQ(piped.t_history, want.t_history);
+    EXPECT_TRUE(piped.v_adv.data().allclose(want.v_adv, 0.0f));
+    EXPECT_GE(piped.queries_spent, want.queries);
   }
 }
 
