@@ -3,9 +3,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <vector>
+
+#include "common/stream_bounds.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -54,25 +55,6 @@ bool read_f64(std::istream& in, double& value) {
 
 namespace {
 
-constexpr std::int64_t kMaxElements = std::numeric_limits<std::int32_t>::max();
-
-// Length fields are untrusted: true only when `count` items of `item_bytes`
-// each fit in what is left of `in`, so nothing is allocated for a payload
-// the stream cannot hold. Measured by seeking to the end and back, which
-// file and string streams both support; a stream that cannot report its
-// position keeps only the kMaxElements cap.
-bool stream_holds(std::istream& in, std::int64_t count,
-                  std::size_t item_bytes) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return true;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (!in || end == std::istream::pos_type(-1) || end < here) return false;
-  return static_cast<std::uint64_t>(count) <=
-         static_cast<std::uint64_t>(end - here) / item_bytes;
-}
-
 template <typename T>
 void write_vec(std::ostream& out, const std::vector<T>& v) {
   write_i64(out, static_cast<std::int64_t>(v.size()));
@@ -83,7 +65,7 @@ void write_vec(std::ostream& out, const std::vector<T>& v) {
 template <typename T>
 bool read_vec(std::istream& in, std::vector<T>& v) {
   std::int64_t size = 0;
-  if (!read_i64(in, size) || size < 0 || size > kMaxElements ||
+  if (!read_i64(in, size) || size < 0 || size > kMaxLoadElements ||
       !stream_holds(in, size, sizeof(T))) {
     return false;
   }
@@ -118,7 +100,7 @@ bool read_tensor(std::istream& in, Tensor& t) {
       empty = true;
       continue;
     }
-    if (dim > kMaxElements / nonzero) return false;
+    if (dim > kMaxLoadElements / nonzero) return false;
     nonzero *= dim;
   }
   if (!stream_holds(in, empty ? 0 : nonzero, sizeof(float))) return false;
@@ -192,6 +174,38 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t basis) {
 
 std::uint64_t fnv1a(const Tensor& t) {
   return fnv1a(t.data(), static_cast<std::size_t>(t.size()) * sizeof(float));
+}
+
+bool save_framed(const std::string& path, const char (&magic)[8],
+                 const std::string& payload) {
+  return atomic_write(path, [&](std::ostream& out) {
+    out.write(magic, sizeof(magic));
+    write_u64(out, fnv1a(payload.data(), payload.size()));
+    write_i64(out, static_cast<std::int64_t>(payload.size()));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  });
+}
+
+bool load_framed(const std::string& path, const char (&magic)[8],
+                 std::string& payload) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  char file_magic[sizeof(magic)] = {};
+  if (!in.read(file_magic, sizeof(file_magic)) ||
+      std::memcmp(file_magic, magic, sizeof(magic)) != 0) {
+    return false;
+  }
+  std::uint64_t fingerprint = 0;
+  std::int64_t size = 0;
+  if (!read_u64(in, fingerprint) || !read_i64(in, size) || size < 0 ||
+      size > kMaxLoadElements || !stream_holds(in, size, 1)) {
+    return false;
+  }
+  std::string staged(static_cast<std::size_t>(size), '\0');
+  if (!in.read(staged.data(), size)) return false;
+  if (fnv1a(staged.data(), staged.size()) != fingerprint) return false;
+  payload = std::move(staged);
+  return true;
 }
 
 namespace {

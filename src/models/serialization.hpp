@@ -71,6 +71,17 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes);
 std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t basis);
 std::uint64_t fnv1a(const Tensor& t);
 
+// Fingerprinted file: 8-byte magic, FNV-1a of the payload, i64 payload
+// size, then the payload — the layout of the durable server-snapshot and
+// gallery-index files. save_framed commits it through atomic_write.
+// load_framed checks the magic, rejects a size below 0, at or above 2^31,
+// or past the end of the file before allocating, then checks the
+// fingerprint; `payload` is left untouched on failure.
+bool save_framed(const std::string& path, const char (&magic)[8],
+                 const std::string& payload);
+bool load_framed(const std::string& path, const char (&magic)[8],
+                 std::string& payload);
+
 // Write-then-rename commit: `write` streams into `path + ".tmp"`, which is
 // flushed + fsync'd and only then renamed over `path` (the parent directory
 // is fsync'd after the rename on POSIX, making the publish itself durable).

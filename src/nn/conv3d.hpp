@@ -8,39 +8,20 @@
 
 namespace duo::nn {
 
-// Which Conv3d implementation executes forward/backward.
-//
-//  - kDirect: the scalar reference kernel (nested tap loops, parallel over
-//    output/input channels). Kept for verification: the gradient checker and
-//    the determinism suite compare the fast path against it.
-//  - kGemm:   im2col + register-tiled GEMM (see nn/gemm.hpp) for the
-//    forward, the weight gradient and the input-gradient columns,
-//    parallelized over row×column blocks of the output matrix. The forward
-//    accumulates each output element in the same tap order as the reference
-//    kernel, so forward features (and therefore retrieval lists) reproduce
-//    the reference kernel exactly on real inputs; backward reassociates the
-//    input-gradient reduction (im2col scatter) and is numerically equivalent
-//    but not bitwise. Both kernels are bitwise deterministic across thread
-//    counts.
-//  - kAuto:   resolve via the process default (DUO_CONV3D_KERNEL env or
-//    set_default_conv3d_kernel); defaults to kGemm.
-enum class Conv3dKernel { kAuto, kDirect, kGemm };
-
-const char* conv3d_kernel_name(Conv3dKernel kernel) noexcept;
-
-// Process-wide default used by specs that leave kernel_impl = kAuto.
-// Initialized lazily from DUO_CONV3D_KERNEL ("direct" or "gemm"; anything
-// else, including unset, selects gemm). The setter overrides the env value
-// (passing kAuto re-reads the env); it is not synchronized against kernels
-// already running on other threads.
-Conv3dKernel default_conv3d_kernel() noexcept;
-void set_default_conv3d_kernel(Conv3dKernel kernel) noexcept;
-
 // 3D convolution over [C, T, H, W] activations with zero padding.
 //
 // A temporal kernel size of 1 makes this a per-frame 2D convolution, which is
 // how the MiniResNet models (2D backbone + temporal pooling) are expressed
 // without a separate Conv2d implementation.
+//
+// Forward, weight gradient and input-gradient columns all run as im2col +
+// register-tiled GEMM (see nn/gemm.hpp), parallelized over row×column blocks
+// of the output matrix. The forward and the weight/bias gradients accumulate
+// each element in the tap order of the plain nested-loop convolution, so
+// they are bitwise equal to the scalar oracle in tests/reference_conv3d.hpp
+// on real inputs; the input gradient reassociates its reduction (im2col
+// scatter) and is numerically equivalent but not bitwise. Every output is
+// bitwise deterministic across thread counts.
 struct Conv3dSpec {
   std::int64_t in_channels = 0;
   std::int64_t out_channels = 0;
@@ -48,7 +29,6 @@ struct Conv3dSpec {
   std::array<std::int64_t, 3> stride = {1, 1, 1};   // {st, sh, sw}
   std::array<std::int64_t, 3> padding = {1, 1, 1};  // {pt, ph, pw}
   bool bias = true;
-  Conv3dKernel kernel_impl = Conv3dKernel::kAuto;
 };
 
 class Conv3d final : public Module {
@@ -72,23 +52,14 @@ class Conv3d final : public Module {
   struct Uninitialized {};
   Conv3d(Conv3dSpec spec, Uninitialized);
 
-  Conv3dKernel resolved_kernel() const noexcept;
   Im2colGeom make_geom(const Tensor::Shape& in,
                        const Tensor::Shape& out) const noexcept;
-
-  Tensor forward_direct(const Tensor& input, const Tensor::Shape& out_shape);
-  Tensor forward_gemm(const Tensor& input, const Tensor::Shape& out_shape);
-  Tensor backward_direct(const Tensor& grad_output,
-                         const Tensor::Shape& out_shape);
-  Tensor backward_gemm(const Tensor& grad_output,
-                       const Tensor::Shape& out_shape);
 
   Conv3dSpec spec_;
   Parameter weight_;  // [Cout, Cin, kt, kh, kw]
   Parameter bias_;    // [Cout] (unused storage when spec_.bias == false)
   Tensor cached_input_;
-  Tensor cached_cols_;  // im2col patch matrix (kGemm forwards only)
-  Conv3dKernel forward_kernel_ = Conv3dKernel::kAuto;  // kernel of last forward
+  Tensor cached_cols_;  // im2col patch matrix of the last forward
 };
 
 }  // namespace duo::nn

@@ -7,8 +7,9 @@
 // value already in C and adds the k products in strictly increasing k order,
 // regardless of tiling or thread count. Tiles partition C disjointly, so the
 // result is bitwise identical across DUO_THREADS counts — and matches any
-// scalar loop that accumulates the same chain in the same order (the direct
-// Conv3d kernel's order, by construction of the im2col row layout).
+// scalar loop that accumulates the same chain in the same order (the order of
+// the nested-loop Conv3d oracle in tests/reference_conv3d.hpp, by
+// construction of the im2col row layout).
 //
 // Callers seed C with the additive term (bias rows, an existing gradient to
 // accumulate into, or zeros) before the call.

@@ -5,8 +5,9 @@
 // im2col lowers a 3D convolution to a matrix product: the patch matrix has
 // one row per kernel tap k = ((ci·kt + dt)·kh + dh)·kw + dw and one column
 // per output position n = (ot·Ho + oh)·Wo + ow, so the row order matches the
-// flattened weight layout [Cout, Cin·kt·kh·kw] and the direct kernel's
-// accumulation order over (ci, dt, dh, dw). Padding taps are stored as 0.
+// flattened weight layout [Cout, Cin·kt·kh·kw] and the accumulation order
+// over (ci, dt, dh, dw) of the nested-loop reference convolution in
+// tests/reference_conv3d.hpp. Padding taps are stored as 0.
 
 #include <array>
 #include <cstdint>

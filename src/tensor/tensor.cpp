@@ -201,40 +201,6 @@ float Tensor::norm_linf() const noexcept {
   return m;
 }
 
-Tensor Tensor::matmul(const Tensor& other) const {
-  DUO_CHECK_MSG(rank() == 2 && other.rank() == 2, "matmul requires 2D");
-  const std::int64_t m = shape_[0], k = shape_[1];
-  DUO_CHECK_MSG(other.shape_[0] == k, "matmul inner dim mismatch");
-  const std::int64_t n = other.shape_[1];
-  Tensor out({m, n});
-  // ikj loop order: streams over contiguous rows of `other` and `out`.
-  const float* a = data();
-  const float* b = other.data();
-  float* c = out.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = a[i * k + kk];
-      if (aik == 0.0f) continue;
-      const float* brow = b + kk * n;
-      float* crow = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-
-Tensor Tensor::transposed() const {
-  DUO_CHECK_MSG(rank() == 2, "transpose requires 2D");
-  const std::int64_t m = shape_[0], n = shape_[1];
-  Tensor out({n, m});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      out.data()[j * m + i] = data()[i * n + j];
-    }
-  }
-  return out;
-}
-
 bool Tensor::allclose(const Tensor& other, float atol) const {
   if (!same_shape(other)) return false;
   for (std::size_t i = 0; i < data_.size(); ++i) {

@@ -135,12 +135,6 @@ class Tensor {
   double norm_l2() const noexcept;
   float norm_linf() const noexcept;
 
-  // -- linear algebra --------------------------------------------------------
-  // 2D matmul: (m×k)·(k×n) → (m×n).
-  Tensor matmul(const Tensor& other) const;
-  // 2D transpose.
-  Tensor transposed() const;
-
   bool allclose(const Tensor& other, float atol = 1e-5f) const;
 
   std::string shape_string() const;

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <vector>
 
+#include "common/stream_bounds.hpp"
+
 namespace duo::video {
 
 namespace {
@@ -54,11 +56,17 @@ std::optional<Video> load_video(const std::string& path) {
   if (!in || std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
   }
-  if (h.frames <= 0 || h.width <= 0 || h.height <= 0 || h.channels <= 0) {
-    return std::nullopt;
+  // The dims are untrusted: each is checked against the bound left by the
+  // ones before it, so the element count stays below 2^31 without
+  // overflowing, and the pixels must be in the file before they get a buffer.
+  std::int64_t elements = 1;
+  for (const std::int64_t dim : {h.frames, h.width, h.height, h.channels}) {
+    if (dim <= 0 || dim > kMaxLoadElements / elements) return std::nullopt;
+    elements *= dim;
   }
+  if (!stream_holds(in, elements, 1)) return std::nullopt;
   VideoGeometry g{h.frames, h.width, h.height, h.channels};
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(g.total_elements()));
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(elements));
   in.read(reinterpret_cast<char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
   if (!in) return std::nullopt;

@@ -16,7 +16,9 @@ namespace duo::video {
 bool save_video(const Video& v, const std::string& path);
 
 // Load a video written by save_video. Returns nullopt on failure or if the
-// file is not a valid .duov container.
+// file is not a valid .duov container: a non-positive dim, 2^31 or more
+// elements, or fewer pixel bytes than the header claims are all rejected
+// before the pixel buffer is allocated.
 std::optional<Video> load_video(const std::string& path);
 
 }  // namespace duo::video

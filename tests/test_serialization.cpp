@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -10,7 +13,31 @@
 #include "attack/checkpoint.hpp"
 #include "models/feature_extractor.hpp"
 #include "models/serialization.hpp"
+#include "retrieval/index.hpp"
+#include "serve/server.hpp"
 #include "video/synthetic.hpp"
+
+namespace {
+// Largest single request operator new has seen since the last reset; the
+// framed-file tests read it to show that a header's size claim is refused
+// before any buffer is sized from it.
+std::atomic<std::size_t> g_largest_new{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = g_largest_new.load(std::memory_order_relaxed);
+  while (size > seen && !g_largest_new.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair an inlined free() with the new
+// expression it came from and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace duo::models {
 namespace {
@@ -251,6 +278,35 @@ TEST(SerializationIo, LengthBeyondStreamRejectedBeforeAllocation) {
     EXPECT_TRUE(io::read_f64_vec(buf, v));
     EXPECT_EQ(v, (std::vector<double>{1.5, -2.0}));
   }
+}
+
+// The 24-byte header of a framed file (magic, fingerprint, size) claiming a
+// 2^31 − 1 byte payload that the file does not hold.
+void write_frame_header(const std::string& path, const char (&magic)[8]) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(magic, sizeof(magic));
+  io::write_u64(out, 0);
+  io::write_i64(out, std::numeric_limits<std::int32_t>::max());
+}
+
+TEST(SerializationIo, SnapshotClaimingHugePayloadRejectedWithoutAllocating) {
+  const std::string path = "/tmp/duo_test_huge_frame.duosn";
+  write_frame_header(path, {'D', 'U', 'O', 'S', 'N', '1', '\0', '\0'});
+  serve::ServerSnapshot snap;
+  g_largest_new = 0;
+  EXPECT_FALSE(serve::load_snapshot(snap, path));
+  EXPECT_LT(g_largest_new.load(), std::size_t{1} << 20);
+  std::remove(path.c_str());
+}
+
+TEST(SerializationIo, IndexClaimingHugePayloadRejectedWithoutAllocating) {
+  const std::string path = "/tmp/duo_test_huge_frame.duoix";
+  write_frame_header(path, {'D', 'U', 'O', 'I', 'X', '1', '\0', '\0'});
+  auto index = retrieval::make_index(4, retrieval::IndexConfig{});
+  g_largest_new = 0;
+  EXPECT_FALSE(retrieval::load_index(*index, path));
+  EXPECT_LT(g_largest_new.load(), std::size_t{1} << 20);
+  std::remove(path.c_str());
 }
 
 TEST(SerializationIo, Fnv1aFingerprintsDiscriminate) {

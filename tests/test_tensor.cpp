@@ -119,29 +119,6 @@ TEST(Tensor, NormL0WithEpsilon) {
   EXPECT_EQ(a.norm_l0(1e-6f), 2);
 }
 
-TEST(Tensor, MatmulKnownResult) {
-  Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  const Tensor c = a.matmul(b);
-  EXPECT_EQ(c.shape(), (Tensor::Shape{2, 2}));
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
-}
-
-TEST(Tensor, MatmulDimensionMismatchThrows) {
-  Tensor a({2, 3}), b({2, 2});
-  EXPECT_THROW(a.matmul(b), std::logic_error);
-}
-
-TEST(Tensor, Transpose) {
-  Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  const Tensor t = a.transposed();
-  EXPECT_EQ(t.shape(), (Tensor::Shape{3, 2}));
-  EXPECT_FLOAT_EQ(t.at(2, 1), 6.0f);
-}
-
 TEST(Tensor, AllClose) {
   Tensor a({2}, std::vector<float>{1.0f, 2.0f});
   Tensor b({2}, std::vector<float>{1.0f + 1e-6f, 2.0f});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -252,6 +253,49 @@ TEST(Codec, RejectsGarbageFile) {
 
 TEST(Codec, MissingFileReturnsNullopt) {
   EXPECT_FALSE(load_video("/tmp/does_not_exist_duo.duov").has_value());
+}
+
+// A .duov header (magic, frames, width, height, channels, label, id) with
+// the given dims, followed by `payload_bytes` pixel bytes.
+void write_duov_header(const std::string& path,
+                       const std::array<std::int64_t, 4>& dims,
+                       std::size_t payload_bytes) {
+  std::ofstream out(path, std::ios::binary);
+  const char magic[8] = {'D', 'U', 'O', 'V', '1', '\0', '\0', '\0'};
+  out.write(magic, sizeof(magic));
+  const std::array<std::int64_t, 6> fields = {dims[0], dims[1], dims[2],
+                                              dims[3], 0, 0};
+  out.write(reinterpret_cast<const char*>(fields.data()),
+            static_cast<std::streamsize>(sizeof(fields)));
+  const std::string payload(payload_bytes, '\x7f');
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+}
+
+// 2^20 · 2^20 · 2^20 · 16 = 2^64 wraps a 64-bit element count to 0; the
+// file must not load as an empty buffer behind that geometry.
+TEST(Codec, RejectsHeaderWhoseElementCountWraps) {
+  const std::string path = "/tmp/duo_test_wrapped_header.duov";
+  const std::int64_t big = std::int64_t{1} << 20;
+  write_duov_header(path, {big, big, big, 16}, 0);
+  EXPECT_FALSE(load_video(path).has_value());
+  std::remove(path.c_str());
+}
+
+// 4096^3 · 3 elements (3 · 2^36 bytes) do not overflow; they must be turned
+// away before any buffer is sized from them.
+TEST(Codec, RejectsOversizedHeaderWithoutAllocating) {
+  const std::string path = "/tmp/duo_test_oversized_header.duov";
+  write_duov_header(path, {4096, 4096, 4096, 3}, 0);
+  EXPECT_FALSE(load_video(path).has_value());
+  std::remove(path.c_str());
+}
+
+// A geometry under the element cap whose pixels the file does not hold.
+TEST(Codec, RejectsPayloadLongerThanFile) {
+  const std::string path = "/tmp/duo_test_truncated_payload.duov";
+  write_duov_header(path, {16, 1024, 1024, 3}, 4096);
+  EXPECT_FALSE(load_video(path).has_value());
+  std::remove(path.c_str());
 }
 
 }  // namespace
