@@ -16,6 +16,7 @@
 #include "models/feature_extractor.hpp"
 #include "nn/conv3d.hpp"
 #include "nn/gemm.hpp"
+#include "nn/im2col.hpp"
 #include "retrieval/index.hpp"
 #include "video/synthetic.hpp"
 
@@ -93,6 +94,76 @@ BENCHMARK(BM_Conv3dBackward)
     ->Arg(4)
     ->Arg(8)
     ->Arg(0);
+
+// im2col and col2im_accumulate at the Conv3d shapes of one perfbench
+// surrogate step: C3D's three 3×3×3 convs on the quick-scale 8×16×16 clip
+// (shape 0-2) and I3D's stride-(1,2,2) stem (shape 3). Serial, as they run
+// inside surrogate training (one replica per worker). Bytes processed counts
+// the patch matrix once.
+struct Im2colShape {
+  std::int64_t cin, t, h, w, stride_hw;
+};
+constexpr std::array<Im2colShape, 4> kIm2colShapes = {{
+    {3, 8, 16, 16, 1}, {8, 8, 8, 8, 1}, {16, 4, 4, 4, 1}, {3, 8, 16, 16, 2},
+}};
+
+nn::Im2colGeom im2col_bench_geom(std::int64_t shape) {
+  const Im2colShape s = kIm2colShapes[static_cast<std::size_t>(shape)];
+  nn::Im2colGeom g;
+  g.cin = s.cin;
+  g.ti = s.t;
+  g.hi = s.h;
+  g.wi = s.w;
+  g.kernel = {3, 3, 3};
+  g.stride = {1, s.stride_hw, s.stride_hw};
+  g.padding = {1, 1, 1};
+  g.to = s.t;
+  g.ho = (s.h - 1) / s.stride_hw + 1;
+  g.wo = (s.w - 1) / s.stride_hw + 1;
+  return g;
+}
+
+void set_im2col_label(benchmark::State& state, const nn::Im2colGeom& g) {
+  state.SetLabel("cin" + std::to_string(g.cin) + " " + std::to_string(g.ti) +
+                 "x" + std::to_string(g.hi) + "x" + std::to_string(g.wi) +
+                 " s" + std::to_string(g.stride[2]));
+  state.SetBytesProcessed(state.iterations() * g.rows() * g.cols() *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+
+void BM_Im2col(benchmark::State& state) {
+  ComputePoolGuard guard(static_cast<std::size_t>(state.range(1)));
+  const nn::Im2colGeom g = im2col_bench_geom(state.range(0));
+  Rng rng(24);
+  const Tensor x = Tensor::uniform({g.cin, g.ti, g.hi, g.wi}, -1.0f, 1.0f, rng);
+  std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
+  for (auto _ : state) {
+    nn::im2col(g, x.data(), cols.data());
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  set_im2col_label(state, g);
+}
+BENCHMARK(BM_Im2col)
+    ->ArgNames({"shape", "threads"})
+    ->ArgsProduct({{0, 1, 2, 3}, {1}});
+
+void BM_Col2im(benchmark::State& state) {
+  ComputePoolGuard guard(static_cast<std::size_t>(state.range(1)));
+  const nn::Im2colGeom g = im2col_bench_geom(state.range(0));
+  Rng rng(25);
+  const Tensor cols = Tensor::uniform({g.rows(), g.cols()}, -1.0f, 1.0f, rng);
+  Tensor gx({g.cin, g.ti, g.hi, g.wi});
+  for (auto _ : state) {
+    nn::col2im_accumulate(g, cols.data(), gx.data());
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::ClobberMemory();
+  }
+  set_im2col_label(state, g);
+}
+BENCHMARK(BM_Col2im)
+    ->ArgNames({"shape", "threads"})
+    ->ArgsProduct({{0, 1, 2, 3}, {1}});
 
 // nn::gemm_accumulate at the six GEMM shapes of one C3D surrogate training
 // step (forward, weight gradient, input-gradient columns), serial and on a

@@ -17,8 +17,8 @@ build_dir="${1:-$repo_root/build-tsan}"
 cmake -B "$build_dir" -S "$repo_root" -DDUO_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$build_dir" -j "$(nproc)" \
-  --target test_thread_pool test_parallel_determinism test_gemm test_serve \
-  test_sparse_query test_failure_modes test_gradcheck test_ivf_index \
+  --target test_thread_pool test_parallel_determinism test_gemm test_im2col \
+  test_serve test_sparse_query test_failure_modes test_gradcheck test_ivf_index \
   test_retrieval test_campaign test_crash_recovery
 
 # TSan multiplies runtime ~5-15x; give the suites generous slack but keep
@@ -28,11 +28,13 @@ cmake --build "$build_dir" -j "$(nproc)" \
 # regression), FailureModes.ServeFaultMatrix* (fault-injected attacks), and
 # the overload suites: Admission (rate limiting + reject/shed policies),
 # Pacer (shared client-side token bucket), Circuit (breaker state machine).
+# Conv3d covers Conv3dKernels; Im2col runs the per-thread scratch planes of
+# im2col/col2im on a 4-worker pool.
 # scripts/tsan.supp silences the known exception_ptr refcount false positive
 # from the uninstrumented libstdc++ (see the file for details).
 export TSAN_OPTIONS="suppressions=$repo_root/scripts/tsan.supp ${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "$build_dir" \
-  -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Pooling|Extractor|Gallery|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
+  -R 'ThreadPool|ParallelDeterminism|Gemm|Conv3d|Im2col|Pooling|Extractor|Gallery|Serve|SparseQuery|FaultInjection|Resilient|Admission|Pacer|Aimd|Circuit|CheckGrad|Ivf|RetrievalIndex|Campaign|CrashRecovery' \
   --output-on-failure --timeout 1800
 
 # The overload soak stresses the admission controller, rate limiter, pacer,

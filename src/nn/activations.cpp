@@ -2,24 +2,32 @@
 
 #include <cmath>
 
+#include "nn/vector_loop.hpp"
+
 namespace duo::nn {
 
+// Both directions write their output in one vector-width pass. The selects
+// keep the scalar semantics: a NaN input fails `x > 0` and gives 0 forward,
+// and fails `x <= 0` so its gradient passes backward.
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
-  Tensor out = input;
-  for (auto& x : out.flat()) x = x > 0.0f ? x : 0.0f;
+  Tensor out(input.shape());
+  const float* x = input.data();
+  store_each(out.size(), out.data(),
+             [&](std::int64_t i) { return x[i] > 0.0f ? x[i] : 0.0f; });
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   DUO_CHECK_MSG(grad_output.same_shape(cached_input_),
                 "ReLU: backward shape mismatch");
-  Tensor grad = grad_output;
-  auto g = grad.flat();
-  const auto x = cached_input_.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (x[i] <= 0.0f) g[i] = 0.0f;
-  }
+  Tensor grad(grad_output.shape());
+  const float* gy = grad_output.data();
+  const float* x = cached_input_.data();
+  store_each(grad.size(), grad.data(), [&](std::int64_t i) {
+    const float g = gy[i];  // loaded unconditionally, so the select vectorizes
+    return x[i] <= 0.0f ? 0.0f : g;
+  });
   return grad;
 }
 

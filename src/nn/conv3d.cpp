@@ -1,5 +1,7 @@
 #include "nn/conv3d.hpp"
 
+#include <algorithm>
+
 #include "nn/gemm.hpp"
 #include "nn/init.hpp"
 
@@ -12,6 +14,13 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t k, std::int64_t s,
   const std::int64_t out = (in + 2 * p - k) / s + 1;
   DUO_CHECK_MSG(out > 0, "Conv3d: non-positive output dimension");
   return out;
+}
+
+// Resize a workspace to `n` elements, keeping its storage when the size is
+// unchanged. Callers overwrite every element they read.
+float* workspace(std::vector<float>& buf, std::int64_t n) {
+  buf.resize(static_cast<std::size_t>(n));
+  return buf.data();
 }
 
 }  // namespace
@@ -65,8 +74,8 @@ Tensor Conv3d::forward(const Tensor& input) {
   const auto out_shape = output_shape(input.shape());
   cached_input_ = input;
   const Im2colGeom g = make_geom(input.shape(), out_shape);
-  cached_cols_ = Tensor({g.rows(), g.cols()});
-  im2col(g, input.data(), cached_cols_.data());
+  float* cols = workspace(cols_, g.rows() * g.cols());
+  im2col(g, input.data(), cols);
 
   // Seed each output row with its bias (the nested-loop reference in
   // tests/reference_conv3d.hpp starts every accumulator at the bias), then
@@ -82,8 +91,8 @@ Tensor Conv3d::forward(const Tensor& input) {
       for (std::int64_t i = 0; i < n; ++i) y[co * n + i] = b;
     }
   }
-  gemm_accumulate(spec_.out_channels, g.rows(), n, weight_.value.data(),
-                  cached_cols_.data(), out.data());
+  gemm_accumulate(spec_.out_channels, g.rows(), n, weight_.value.data(), cols,
+                  out.data());
   return out;
 }
 
@@ -114,24 +123,21 @@ Tensor Conv3d::backward(const Tensor& grad_output) {
   // each gw element still accumulates over output positions in increasing
   // order, seeded from the existing gradient — the reference kernel's chain.
   {
-    Tensor gyt({n, cout});
-    float* t = gyt.data();
+    float* gyt = workspace(gyt_, n * cout);
     for (std::int64_t co = 0; co < cout; ++co) {
-      for (std::int64_t i = 0; i < n; ++i) t[i * cout + co] = gy[co * n + i];
+      for (std::int64_t i = 0; i < n; ++i) gyt[i * cout + co] = gy[co * n + i];
     }
-    Tensor gwt({k, cout});
-    float* wt = gwt.data();
-    const float* gw = weight_.grad.data();
+    float* gwt = workspace(gwt_, k * cout);
+    float* gw = weight_.grad.data();
     for (std::int64_t co = 0; co < cout; ++co) {
       for (std::int64_t kk = 0; kk < k; ++kk) {
-        wt[kk * cout + co] = gw[co * k + kk];
+        gwt[kk * cout + co] = gw[co * k + kk];
       }
     }
-    gemm_accumulate(k, n, cout, cached_cols_.data(), gyt.data(), gwt.data());
-    float* gw_out = weight_.grad.data();
+    gemm_accumulate(k, n, cout, cols_.data(), gyt, gwt);
     for (std::int64_t co = 0; co < cout; ++co) {
       for (std::int64_t kk = 0; kk < k; ++kk) {
-        gw_out[co * k + kk] = wt[kk * cout + co];
+        gw[co * k + kk] = gwt[kk * cout + co];
       }
     }
   }
@@ -141,18 +147,18 @@ Tensor Conv3d::backward(const Tensor& grad_output) {
   // reference (sum over channels happens before the tap scatter), so gx is
   // numerically equivalent but not bitwise identical to the reference —
   // while remaining bitwise deterministic across thread counts.
-  Tensor wt({k, cout});
+  float* wt = workspace(wt_, k * cout);
   {
     const float* w = weight_.value.data();
-    float* t = wt.data();
     for (std::int64_t co = 0; co < cout; ++co) {
-      for (std::int64_t kk = 0; kk < k; ++kk) t[kk * cout + co] = w[co * k + kk];
+      for (std::int64_t kk = 0; kk < k; ++kk) wt[kk * cout + co] = w[co * k + kk];
     }
   }
-  Tensor cols_grad({k, n});
-  gemm_accumulate(k, cout, n, wt.data(), gy, cols_grad.data());
+  float* cols_grad = workspace(cols_grad_, k * n);
+  std::fill_n(cols_grad, k * n, 0.0f);
+  gemm_accumulate(k, cout, n, wt, gy, cols_grad);
   Tensor grad_input(cached_input_.shape());
-  col2im_accumulate(g, cols_grad.data(), grad_input.data());
+  col2im_accumulate(g, cols_grad, grad_input.data());
   return grad_input;
 }
 

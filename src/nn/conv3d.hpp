@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "nn/im2col.hpp"
 #include "nn/module.hpp"
@@ -59,7 +60,12 @@ class Conv3d final : public Module {
   Parameter weight_;  // [Cout, Cin, kt, kh, kw]
   Parameter bias_;    // [Cout] (unused storage when spec_.bias == false)
   Tensor cached_input_;
-  Tensor cached_cols_;  // im2col patch matrix of the last forward
+  // Workspaces, kept across calls and resized only when the shapes change:
+  // the im2col patch matrix of the last forward [K, N], and backward's
+  // transposes gyT [N, Cout], gwT [K, Cout], Wᵀ [K, Cout] and input-gradient
+  // columns [K, N]. A clone starts with empty ones.
+  std::vector<float> cols_;
+  std::vector<float> gyt_, gwt_, wt_, cols_grad_;
 };
 
 }  // namespace duo::nn

@@ -8,6 +8,24 @@
 // flattened weight layout [Cout, Cin·kt·kh·kw] and the accumulation order
 // over (ci, dt, dh, dw) of the nested-loop reference convolution in
 // tests/reference_conv3d.hpp. Padding taps are stored as 0.
+//
+// Both directions run at memory speed with no per-element bounds test. Each
+// channel task copies its channel once into a zero-bordered scratch plane
+// (skipped when the padding is 0), in which every tap of every output
+// position is in range. A patch row is then a sequence of W-runs: whole
+// contiguous copies at W-stride 1, a strided gather otherwise. col2im adds
+// each run into a padded copy of gx and writes the interior back, so every
+// gx element receives the same adds in the same (row, column) order as a
+// bounds-tested scatter would give it.
+//
+// The stride-1 runs go through store_each (nn/vector_loop.hpp) because
+// GCC 12's -O2 cost model leaves a loop whose length is known only at run
+// time scalar; a per-element `(iw >= 0 && iw < wi) ? x[iw] : 0` loop stays
+// scalar too. GCC does not vectorize the strided runs either way, and a
+// plain loop runs them faster than store_each's chunks.
+// Do not fix this with -fvect-cost-model=cheap or =dynamic: under it,
+// Linear::forward's in-order dot product loses its fused multiply-add and
+// the benchmark's outcome changes (see nn/vector_loop.hpp).
 
 #include <array>
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/vector_loop.hpp"
+
 namespace duo::nn {
 
 InstanceNorm3d::InstanceNorm3d(std::int64_t channels, float eps)
@@ -20,7 +22,9 @@ Tensor InstanceNorm3d::forward(const Tensor& input) {
   DUO_CHECK_MSG(spatial > 1, "InstanceNorm3d: needs > 1 element per channel");
 
   Tensor out(input.shape());
-  cached_normalized_ = Tensor(input.shape());
+  if (!cached_normalized_.same_shape(input)) {
+    cached_normalized_ = Tensor(input.shape());  // every element rewritten
+  }
   cached_inv_std_.assign(static_cast<std::size_t>(c), 0.0f);
 
   const float* x = input.data();
@@ -40,11 +44,12 @@ Tensor InstanceNorm3d::forward(const Tensor& input) {
     const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
     cached_inv_std_[static_cast<std::size_t>(cc)] = inv_std;
     const float g = gamma_.value[cc], b = beta_.value[cc];
-    for (std::int64_t i = 0; i < spatial; ++i) {
-      const float n = (xc[i] - static_cast<float>(mean)) * inv_std;
-      xh[cc * spatial + i] = n;
-      y[cc * spatial + i] = g * n + b;
-    }
+    const float mean_f = static_cast<float>(mean);
+    float* xhc = xh + cc * spatial;
+    store_each(spatial, xhc,
+               [&](std::int64_t i) { return (xc[i] - mean_f) * inv_std; });
+    store_each(spatial, y + cc * spatial,
+               [&](std::int64_t i) { return g * xhc[i] + b; });
   }
   return out;
 }
@@ -81,9 +86,9 @@ Tensor InstanceNorm3d::backward(const Tensor& grad_output) {
     // dL/dx = gamma * inv_std * (gy - mean(gy) - xh * mean(gy*xh))
     const float mean_gy = static_cast<float>(sum_gy) * inv_n;
     const float mean_gy_xh = static_cast<float>(sum_gy_xh) * inv_n;
-    for (std::int64_t i = 0; i < spatial; ++i) {
-      gxc[i] = g * inv_std * (gyc[i] - mean_gy - xhc[i] * mean_gy_xh);
-    }
+    store_each(spatial, gxc, [&](std::int64_t i) {
+      return g * inv_std * (gyc[i] - mean_gy - xhc[i] * mean_gy_xh);
+    });
   }
   return grad_input;
 }

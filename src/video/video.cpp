@@ -11,17 +11,19 @@ Video::Video(Tensor data, VideoGeometry geometry, int label, std::int64_t id)
                 "Video: data shape does not match geometry");
 }
 
+// The pixel layout [N, H, W, C] and the model layout [C, N, H, W] order the
+// N·H·W pixels the same way, so both conversions are a transpose between
+// [pixels, C] and [C, pixels], walked with flat pointers.
 Tensor Video::to_model_input() const {
   const auto& g = geometry_;
   Tensor out({g.channels, g.frames, g.height, g.width});
   constexpr float kInv255 = 1.0f / 255.0f;
-  for (std::int64_t n = 0; n < g.frames; ++n) {
-    for (std::int64_t y = 0; y < g.height; ++y) {
-      for (std::int64_t x = 0; x < g.width; ++x) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          out.at(c, n, y, x) = data_.at(n, y, x, c) * kInv255;
-        }
-      }
+  const std::int64_t pixels = g.frames * g.height * g.width;
+  const float* src = data_.data();
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    float* dst = out.data() + c * pixels;
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      dst[p] = src[p * g.channels + c] * kInv255;
     }
   }
   return out;
@@ -34,13 +36,12 @@ Tensor Video::from_model_space(const Tensor& model_tensor,
                 "from_model_space: shape mismatch");
   Tensor out(g.tensor_shape());
   const float scale = scale_to_pixels ? 255.0f : 1.0f;
-  for (std::int64_t n = 0; n < g.frames; ++n) {
-    for (std::int64_t y = 0; y < g.height; ++y) {
-      for (std::int64_t x = 0; x < g.width; ++x) {
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-          out.at(n, y, x, c) = model_tensor.at(c, n, y, x) * scale;
-        }
-      }
+  const std::int64_t pixels = g.frames * g.height * g.width;
+  float* dst = out.data();
+  for (std::int64_t c = 0; c < g.channels; ++c) {
+    const float* src = model_tensor.data() + c * pixels;
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      dst[p * g.channels + c] = src[p] * scale;
     }
   }
   return out;
