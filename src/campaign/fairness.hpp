@@ -4,11 +4,10 @@
 //   J(x) = (Σxᵢ)² / (n · Σxᵢ²)
 // over per-client served counts is 1.0 when every client got the same
 // service and → 1/n as one client monopolizes the victim; a starved client
-// is detectable from the summary without reading n rows. The ledger also
-// re-checks the billing invariant per client and globally:
-//   billed == served + faulted + expired + shed
-// (throttled/rejected turn-aways are unbilled), so a campaign report that
-// prints `reconciled` has proven its accounting end to end.
+// is detectable from the summary without reading n rows. Billed counts
+// follow the server's ledger, billed == served + faulted + expired + shed
+// (throttled/rejected turn-aways are unbilled); the server's global
+// counters are sums of these same slices, so they need no re-check here.
 
 #include <cstdint>
 #include <string>
@@ -26,18 +25,15 @@ struct FairnessSummary {
   std::string least_served_client;
   std::int64_t most_served = 0;
   std::int64_t least_served = 0;
-  // Σ per-client billed — equals served+faulted+expired+shed globally when
-  // the ledger reconciles.
+  // Σ per-client billed — the server's served+faulted+expired+shed.
   std::int64_t billed_total = 0;
-  bool ledger_ok = false;
 };
 
 // Jain's fairness index of `xs`; 1.0 for empty/all-zero input (nobody is
 // starved when nobody asked).
 double jain_index(const std::vector<double>& xs);
 
-// Summarize the per-client breakdown of one stats snapshot. ledger_ok checks
-// the per-client ledgers AND that their sums match the global counters.
+// Summarize the per-client breakdown of one stats snapshot.
 FairnessSummary summarize_fairness(const serve::ServerStats& stats);
 
 }  // namespace duo::campaign

@@ -12,8 +12,8 @@
 // follows the session contract (campaign/session.hpp): per-session outcomes
 // are bitwise reproducible across runs, DUO_THREADS settings, and
 // kill/resume points; billing attribution is schedule-dependent but the
-// campaign ledger reconciles exactly (CampaignOutcome::ledger_ok, checked
-// both client-side vs server-side and per-client vs global).
+// campaign ledger reconciles exactly (CampaignOutcome::ledger_ok: the
+// sessions' client-side billing equals the server's billed total).
 //
 // Kill/resume: run a manifest whose victim dies mid-campaign
 // (fault_error_from + circuit_threshold), then run the SAME manifest again
@@ -43,8 +43,7 @@ struct CampaignOutcome {
   FairnessSummary fairness;
 
   // Ledger: Σ session queries_billed (client-side, this run) must equal the
-  // server-side billed total served + faulted + expired + shed. ledger_ok
-  // also folds in the per-client reconciliation (FairnessSummary).
+  // server-side billed total served + faulted + expired + shed.
   std::int64_t client_billed = 0;
   std::int64_t server_billed = 0;
   bool ledger_ok = false;

@@ -95,12 +95,35 @@ PendingRetrieval ResilientHandle::submit(video::Video v, std::size_t m) {
   return PendingRetrieval(*this, std::move(v), m, std::move(first.out), probe);
 }
 
+namespace {
+
+// Moves a ready future's value into `list`, or returns its exception.
+std::exception_ptr get_into(std::future<metrics::RetrievalList>& future,
+                            metrics::RetrievalList& list) {
+  try {
+    list = future.get();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
+// The exception of a ready future that is known to hold one (an
+// unaccepted submission never carries a value).
+std::exception_ptr error_of(std::future<metrics::RetrievalList>& future) {
+  metrics::RetrievalList unused;
+  return get_into(future, unused);
+}
+
+}  // namespace
+
 ResilientHandle::FailureInfo ResilientHandle::classify_failure(
-    std::future<metrics::RetrievalList>& future, bool was_probe) {
+    std::exception_ptr error, bool was_probe) {
+  DUO_CHECK_MSG(error != nullptr,
+                "ResilientHandle: classify_failure on a success");
   FailureInfo info;
   try {
-    (void)future.get();
-    DUO_CHECK_MSG(false, "ResilientHandle: classify_failure on a success");
+    std::rethrow_exception(error);
   } catch (const ServeError& e) {
     if (!e.retryable()) {
       // A probe dying on a non-retryable error leaves via throw; release
@@ -133,7 +156,8 @@ metrics::RetrievalList ResilientHandle::await_with_retry(
   double retry_after_ms = 0.0;
   bool lost = false;
   if (!accepted) {
-    const FailureInfo info = classify_failure(future, probe);  // throws if fatal
+    // Throws if fatal.
+    const FailureInfo info = classify_failure(error_of(future), probe);
     retry_after_ms = info.retry_after_ms;
     lost = info.connection_lost;
   }
@@ -142,32 +166,18 @@ metrics::RetrievalList ResilientHandle::await_with_retry(
       lost = false;
       if (future.wait_for(policy_.query_timeout) ==
           std::future_status::ready) {
-        try {
-          auto list = future.get();
+        metrics::RetrievalList list;
+        const std::exception_ptr error = get_into(future, list);
+        if (error == nullptr) {
           note_success(probe);
           if (pacer_ != nullptr) pacer_->on_success();
           return list;
-        } catch (const ServeError& e) {
-          if (!e.retryable()) {
-            if (probe) release_probe();
-            throw;
-          }
-          if (e.connection_lost()) {
-            // The request died with the server (billed — it was accepted).
-            // Replay it through the reconnect path below.
-            note_connection_lost(probe);
-            lost = true;
-          } else {
-            note_retryable(e.overload(), probe);
-            if (pacer_ != nullptr && e.overload()) {
-              pacer_->on_overload(e.retry_after_ms());
-            }
-            retry_after_ms = e.retry_after_ms();
-          }
-        } catch (const std::future_error&) {
-          // Dropped response: promise abandoned server-side.
-          note_retryable(/*overload=*/false, probe);
         }
+        // A connection loss means the request died with the server (billed
+        // — it was accepted); it is replayed through the reconnect path.
+        const FailureInfo info = classify_failure(error, probe);
+        retry_after_ms = info.retry_after_ms;
+        lost = info.connection_lost;
       } else {
         // Answer overdue: declare it lost and resubmit. The abandoned future
         // may still be fulfilled later; that forward stays billed. A victim
@@ -219,7 +229,7 @@ metrics::RetrievalList ResilientHandle::await_with_retry(
     any_billed = any_billed || accepted;
     future = std::move(retry.out.future);
     if (!accepted) {
-      const FailureInfo info = classify_failure(future, probe);
+      const FailureInfo info = classify_failure(error_of(future), probe);
       retry_after_ms = info.retry_after_ms;
       lost = info.connection_lost;
       probe = false;  // the failed probe already released its slot

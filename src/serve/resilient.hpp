@@ -40,6 +40,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -219,10 +220,9 @@ class ResilientHandle {
     bool connection_lost = false;
   };
 
-  // Classifies the error in a ready future: returns the FailureInfo when
+  // Classifies a failed attempt's exception: returns the FailureInfo when
   // the failure is retryable (counting it), rethrows otherwise.
-  FailureInfo classify_failure(std::future<metrics::RetrievalList>& future,
-                               bool was_probe);
+  FailureInfo classify_failure(std::exception_ptr error, bool was_probe);
 
   // Records one retryable failure. `overload` failures release a probe
   // without reopening (the victim is up, just busy); breaker-relevant ones

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -25,32 +24,20 @@ std::exception_ptr server_down_error() {
                  "RetrievalServer: server crashed; reconnect and retry"));
 }
 
-// q-th percentile (nearest-rank on the sorted order) of `xs`; mutates `xs`.
-double percentile(std::vector<double>& xs, double q) {
-  if (xs.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      std::llround(q * static_cast<double>(xs.size() - 1)));
-  std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(idx),
-                   xs.end());
-  return xs[idx];
+// Fail an accepted (billed) request with its own exception object. Sharing
+// one exception_ptr across promises hands one object to several client
+// threads, whose last release runs through libsupc++'s uninstrumented
+// refcount.
+template <typename Request>
+void fail(Request& r, ServeErrorCode code, const std::string& what) {
+  r.promise.set_exception(
+      std::make_exception_ptr(ServeError(code, /*billed=*/true, what)));
 }
 
 std::unique_ptr<retrieval::RetrievalSystem> checked_nonnull(
     std::unique_ptr<retrieval::RetrievalSystem> system) {
   DUO_CHECK_MSG(system != nullptr, "RetrievalServer: null system");
   return system;
-}
-
-// FNV-1a over the client id, used to derive a per-client reservoir seed.
-// (Local copy: duo_serve does not link duo_models, where the shared fnv1a
-// helper for checkpoints lives.)
-std::uint64_t client_seed_hash(const std::string& id) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : id) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -73,8 +60,6 @@ void RetrievalServer::start() {
   DUO_CHECK_MSG(config_.max_batch >= 1, "RetrievalServer: max_batch < 1");
   DUO_CHECK_MSG(config_.queue_capacity >= 1,
                 "RetrievalServer: queue_capacity < 1");
-  DUO_CHECK_MSG(config_.latency_reservoir >= 1,
-                "RetrievalServer: latency_reservoir < 1");
   DUO_CHECK_MSG(
       config_.admission_threshold > 0.0 && config_.admission_threshold <= 1.0,
       "RetrievalServer: admission_threshold must be in (0, 1]");
@@ -98,7 +83,6 @@ void RetrievalServer::start() {
   batch_size_counts_.assign(config_.max_batch + 1, 0);
   occupancy_deciles_.assign(11, 0);
   retry_after_buckets_.assign(12, 0);
-  latency_reservoir_.reserve(config_.latency_reservoir);
   scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
@@ -125,7 +109,6 @@ bool RetrievalServer::enqueue(Request& req,
     if (wait_ms > 0.0) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++requests_throttled_;
         ++client_slot(opts.client_id).throttled;
         record_retry_after(wait_ms);
       }
@@ -174,7 +157,6 @@ bool RetrievalServer::enqueue(Request& req,
       lock.unlock();
       {
         std::lock_guard<std::mutex> slock(stats_mutex_);
-        ++requests_rejected_;
         ++client_slot(opts.client_id).rejected;
         record_retry_after(config_.reject_retry_after_ms);
       }
@@ -218,7 +200,6 @@ bool RetrievalServer::enqueue(Request& req,
   if (!shed_victims.empty()) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
-      requests_shed_ += static_cast<std::int64_t>(shed_victims.size());
       // Attribute each eviction to the victim's own client, not the
       // newcomer that displaced it.
       for (const auto& victim : shed_victims) {
@@ -227,10 +208,10 @@ bool RetrievalServer::enqueue(Request& req,
     }
     // Shed requests were accepted (and billed at acceptance); fail them with
     // the typed eviction error so retrying clients can resubmit.
-    const auto error = std::make_exception_ptr(
-        ServeError(ServeErrorCode::kShed, /*billed=*/true,
-                   "RetrievalServer: shed to admit fresher work"));
-    for (auto& victim : shed_victims) victim.promise.set_exception(error);
+    for (auto& victim : shed_victims) {
+      fail(victim, ServeErrorCode::kShed,
+           "RetrievalServer: shed to admit fresher work");
+    }
   }
   return true;
 }
@@ -295,8 +276,6 @@ void RetrievalServer::fail_lost(std::vector<Request>& lost) {
   {
     std::lock_guard<std::mutex> slock(stats_mutex_);
     for (const auto& r : lost) {
-      ++faults_injected_;
-      ++requests_lost_;
       auto& c = client_slot(r.client_id);
       ++c.faulted;
       ++c.lost;
@@ -306,11 +285,10 @@ void RetrievalServer::fail_lost(std::vector<Request>& lost) {
   // about to spend) backend work on them — so they stay billed, mirroring
   // the shed/expired convention. kConnectionLost is retryable: the client
   // re-submits after the restart.
-  const auto error = std::make_exception_ptr(
-      ServeError(ServeErrorCode::kConnectionLost, /*billed=*/true,
-                 "RetrievalServer: server crashed with the request in "
-                 "flight"));
-  for (auto& r : lost) r.promise.set_exception(error);
+  for (auto& r : lost) {
+    fail(r, ServeErrorCode::kConnectionLost,
+         "RetrievalServer: server crashed with the request in flight");
+  }
   lost.clear();
 }
 
@@ -347,22 +325,11 @@ ServerSnapshot RetrievalServer::snapshot() const {
   ServerSnapshot snap;
   snap.epoch = epoch_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  snap.queries_served = queries_served_;
   snap.batches = batches_;
-  snap.faults_injected = faults_injected_;
-  snap.requests_throttled = requests_throttled_;
-  snap.requests_rejected = requests_rejected_;
-  snap.requests_shed = requests_shed_;
-  snap.requests_expired = requests_expired_;
-  snap.requests_lost = requests_lost_;
   snap.crashes = crashes_;
   snap.batch_size_counts = batch_size_counts_;
   snap.occupancy_deciles = occupancy_deciles_;
   snap.retry_after_buckets = retry_after_buckets_;
-  snap.latency_reservoir = latency_reservoir_;
-  snap.latency_count = latency_count_;
-  snap.max_latency_ms = max_latency_ms_;
-  snap.reservoir_rng_state = reservoir_rng_.state();
   snap.degrade_entries = degrade_entries_;
   snap.degraded_accum_ms = degraded_accum_ms_;
   snap.degraded_served = degraded_served_;
@@ -377,10 +344,9 @@ ServerSnapshot RetrievalServer::snapshot() const {
     slice.shed = acc.shed;
     slice.expired = acc.expired;
     slice.lost = acc.lost;
-    slice.reservoir = acc.reservoir;
-    slice.latency_count = acc.latency_count;
-    slice.max_latency_ms = acc.max_latency_ms;
-    slice.rng_state = acc.rng.state();
+    slice.latency_buckets.assign(acc.latency.buckets().begin(),
+                                 acc.latency.buckets().end());
+    slice.max_latency_ms = acc.latency.max_ms();
     snap.clients.push_back(std::move(slice));
   }
   if (limiter_ != nullptr) {
@@ -419,28 +385,7 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
           "RetrievalServer::restart: snapshot does not match this server's "
           "configuration");
     }
-    std::lock_guard<std::mutex> slock(stats_mutex_);
-    queries_served_ = snap->queries_served;
-    batches_ = snap->batches;
-    faults_injected_ = snap->faults_injected;
-    requests_throttled_ = snap->requests_throttled;
-    requests_rejected_ = snap->requests_rejected;
-    requests_shed_ = snap->requests_shed;
-    requests_expired_ = snap->requests_expired;
-    requests_lost_ = snap->requests_lost;
-    crashes_ = snap->crashes;
-    batch_size_counts_ = snap->batch_size_counts;
-    occupancy_deciles_ = snap->occupancy_deciles;
-    retry_after_buckets_ = snap->retry_after_buckets;
-    latency_reservoir_ = snap->latency_reservoir;
-    latency_count_ = snap->latency_count;
-    max_latency_ms_ = snap->max_latency_ms;
-    reservoir_rng_ = Rng(snap->reservoir_rng_state);
-    degrade_entries_ = snap->degrade_entries;
-    degraded_accum_ms_ = snap->degraded_accum_ms;
-    degraded_served_ = snap->degraded_served;
-    degraded_stat_ = false;  // recovery restores the configured index mode
-    clients_.clear();
+    std::map<std::string, ClientAccounting> clients;
     for (const auto& slice : snap->clients) {
       ClientAccounting acc;
       acc.served = slice.served;
@@ -450,12 +395,25 @@ void RetrievalServer::restart_internal(const ServerSnapshot* snap) {
       acc.shed = slice.shed;
       acc.expired = slice.expired;
       acc.lost = slice.lost;
-      acc.reservoir = slice.reservoir;
-      acc.latency_count = slice.latency_count;
-      acc.max_latency_ms = slice.max_latency_ms;
-      acc.rng = Rng(slice.rng_state);
-      clients_.emplace(slice.id, std::move(acc));
+      if (!acc.latency.assign(slice.latency_buckets, slice.max_latency_ms,
+                              slice.served)) {
+        throw std::logic_error(
+            "RetrievalServer::restart: malformed latency histogram for "
+            "client '" + slice.id + "'");
+      }
+      clients.emplace(slice.id, std::move(acc));
     }
+    std::lock_guard<std::mutex> slock(stats_mutex_);
+    clients_ = std::move(clients);
+    batches_ = snap->batches;
+    crashes_ = snap->crashes;
+    batch_size_counts_ = snap->batch_size_counts;
+    occupancy_deciles_ = snap->occupancy_deciles;
+    retry_after_buckets_ = snap->retry_after_buckets;
+    degrade_entries_ = snap->degrade_entries;
+    degraded_accum_ms_ = snap->degraded_accum_ms;
+    degraded_served_ = snap->degraded_served;
+    degraded_stat_ = false;  // recovery restores the configured index mode
     if (snap->has_limiter && limiter_ != nullptr) {
       limiter_->restore(snap->limiter);
     }
@@ -522,13 +480,12 @@ void RetrievalServer::scheduler_loop() {
     if (!expired.empty()) {
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
-        requests_expired_ += static_cast<std::int64_t>(expired.size());
         for (const auto& r : expired) ++client_slot(r.client_id).expired;
       }
-      const auto error = std::make_exception_ptr(
-          ServeError(ServeErrorCode::kExpired, /*billed=*/true,
-                     "RetrievalServer: deadline expired while queued"));
-      for (auto& r : expired) r.promise.set_exception(error);
+      for (auto& r : expired) {
+        fail(r, ServeErrorCode::kExpired,
+             "RetrievalServer: deadline expired while queued");
+      }
     }
     if (!batch.empty()) process_batch(batch);
   }
@@ -603,11 +560,9 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   try {
     features = system_.extractor().extract_batch(videos);
   } catch (const std::exception& e) {
-    const auto error = std::make_exception_ptr(
-        ServeError(ServeErrorCode::kFatal, /*billed=*/true,
-                   std::string("RetrievalServer: backend failure: ") +
-                       e.what()));
-    for (auto& r : batch) r.promise.set_exception(error);
+    const std::string what =
+        std::string("RetrievalServer: backend failure: ") + e.what();
+    for (auto& r : batch) fail(r, ServeErrorCode::kFatal, what);
     return;
   }
 
@@ -697,18 +652,15 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
   }
 
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  queries_served_ += static_cast<std::int64_t>(served_lat.size());
   if (degraded_mode_) {  // scheduler thread: its own ladder state
     degraded_served_ += static_cast<std::int64_t>(served_lat.size());
   }
-  faults_injected_ += static_cast<std::int64_t>(faulted_idx.size());
   ++batches_;
   ++batch_size_counts_[batch.size()];
   for (const auto& [i, ms] : served_lat) {
-    record_latency(ms);
     auto& c = client_slot(batch[i].client_id);
     ++c.served;
-    record_client_latency(c, ms, config_.client_latency_reservoir);
+    c.latency.record(ms);
   }
   for (const std::size_t i : faulted_idx) {
     ++client_slot(batch[i].client_id).faulted;
@@ -717,27 +669,7 @@ void RetrievalServer::process_batch(std::vector<Request>& batch) {
 
 RetrievalServer::ClientAccounting& RetrievalServer::client_slot(
     const std::string& client_id) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
-    it = clients_.emplace(client_id, ClientAccounting{}).first;
-    // Seeding from the id (not insertion order) keeps each client's retained
-    // sample set independent of which clients happened to arrive first.
-    it->second.rng = Rng(kReservoirSeed ^ client_seed_hash(client_id));
-  }
-  return it->second;
-}
-
-void RetrievalServer::record_client_latency(ClientAccounting& c, double ms,
-                                            std::size_t reservoir_cap) {
-  c.max_latency_ms = std::max(c.max_latency_ms, ms);
-  if (c.reservoir.size() < reservoir_cap) {
-    c.reservoir.push_back(ms);
-  } else if (reservoir_cap > 0) {
-    const auto j =
-        c.rng.uniform_index(static_cast<std::uint64_t>(c.latency_count) + 1);
-    if (j < c.reservoir.size()) c.reservoir[j] = ms;
-  }
-  ++c.latency_count;
+  return clients_.try_emplace(client_id).first->second;
 }
 
 void RetrievalServer::record_retry_after(double hint_ms) {
@@ -752,42 +684,16 @@ void RetrievalServer::record_retry_after(double hint_ms) {
   ++retry_after_buckets_[b];
 }
 
-void RetrievalServer::record_latency(double ms) {
-  max_latency_ms_ = std::max(max_latency_ms_, ms);
-  if (latency_reservoir_.size() < config_.latency_reservoir) {
-    latency_reservoir_.push_back(ms);
-  } else {
-    // Algorithm R: sample i replaces a reservoir slot with probability R/i,
-    // keeping a uniform sample of everything observed so far.
-    const auto j = reservoir_rng_.uniform_index(
-        static_cast<std::uint64_t>(latency_count_) + 1);
-    if (j < latency_reservoir_.size()) latency_reservoir_[j] = ms;
-  }
-  ++latency_count_;
-}
-
 ServerStats RetrievalServer::stats() const {
   ServerStats out;
   out.server_epoch = epoch_.load(std::memory_order_relaxed);
-  std::vector<double> latencies;
-  std::map<std::string, std::vector<double>> client_latencies;
+  LatencyHistogram latency;  // bucket-wise merge of every client's
   const double now_ms = clock_->now_ms();  // clock read outside the lock
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    out.queries_served = queries_served_;
     out.batches = batches_;
-    out.faults_injected = faults_injected_;
-    out.requests_throttled = requests_throttled_;
-    out.requests_rejected = requests_rejected_;
-    out.requests_shed = requests_shed_;
-    out.requests_expired = requests_expired_;
-    out.requests_lost = requests_lost_;
     out.crashes = crashes_;
     out.batch_size_counts = batch_size_counts_;
-    out.latency_count = latency_count_;
-    out.latency_samples_retained =
-        static_cast<std::int64_t>(latency_reservoir_.size());
-    out.max_latency_ms = max_latency_ms_;
     out.degrade_entries = degrade_entries_;
     out.degraded_now = degraded_stat_;
     out.degraded_served = degraded_served_;
@@ -798,7 +704,6 @@ ServerStats RetrievalServer::stats() const {
         (degraded_stat_ ? std::max(0.0, now_ms - degraded_since_ms_) : 0.0);
     out.occupancy_deciles = occupancy_deciles_;
     out.retry_after_buckets = retry_after_buckets_;
-    latencies = latency_reservoir_;
     for (const auto& [id, acc] : clients_) {
       ClientStats cs;
       cs.served = acc.served;
@@ -808,19 +713,27 @@ ServerStats RetrievalServer::stats() const {
       cs.shed = acc.shed;
       cs.expired = acc.expired;
       cs.lost = acc.lost;
-      cs.latency_count = acc.latency_count;
-      cs.max_latency_ms = acc.max_latency_ms;
+      cs.latency_count = acc.served;
+      cs.p50_latency_ms = acc.latency.percentile(0.50);
+      cs.p95_latency_ms = acc.latency.percentile(0.95);
+      cs.max_latency_ms = acc.latency.max_ms();
       out.per_client.emplace(id, cs);
-      client_latencies.emplace(id, acc.reservoir);
+      latency.merge(acc.latency);
     }
   }
-  out.p50_latency_ms = percentile(latencies, 0.50);
-  out.p95_latency_ms = percentile(latencies, 0.95);
-  for (auto& [id, xs] : client_latencies) {
-    auto& cs = out.per_client[id];
-    cs.p50_latency_ms = percentile(xs, 0.50);
-    cs.p95_latency_ms = percentile(xs, 0.95);
+  for (const auto& [id, cs] : out.per_client) {
+    out.queries_served += cs.served;
+    out.faults_injected += cs.faulted;
+    out.requests_throttled += cs.throttled;
+    out.requests_rejected += cs.rejected;
+    out.requests_shed += cs.shed;
+    out.requests_expired += cs.expired;
+    out.requests_lost += cs.lost;
   }
+  out.latency_count = out.queries_served;
+  out.p50_latency_ms = latency.percentile(0.50);
+  out.p95_latency_ms = latency.percentile(0.95);
+  out.max_latency_ms = latency.max_ms();
   return out;
 }
 
@@ -840,14 +753,7 @@ double RetrievalServer::client_rate() const {
 void RetrievalServer::reset_stats() {
   const double now_ms = clock_->now_ms();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  queries_served_ = 0;
   batches_ = 0;
-  faults_injected_ = 0;
-  requests_throttled_ = 0;
-  requests_rejected_ = 0;
-  requests_shed_ = 0;
-  requests_expired_ = 0;
-  requests_lost_ = 0;
   crashes_ = 0;
   std::fill(batch_size_counts_.begin(), batch_size_counts_.end(), 0);
   std::fill(occupancy_deciles_.begin(), occupancy_deciles_.end(), 0);
@@ -858,10 +764,6 @@ void RetrievalServer::reset_stats() {
   // A reset during an open degraded stint restarts the stint's clock; the
   // ladder state itself (degraded or not) is serving reality, not a stat.
   if (degraded_stat_) degraded_since_ms_ = now_ms;
-  latency_reservoir_.clear();
-  latency_count_ = 0;
-  max_latency_ms_ = 0.0;
-  reservoir_rng_ = Rng(kReservoirSeed);
   clients_.clear();
 }
 

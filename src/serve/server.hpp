@@ -72,12 +72,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "metrics/metrics.hpp"
 #include "retrieval/system.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
+#include "serve/latency_histogram.hpp"
 #include "video/video.hpp"
 
 namespace duo::serve {
@@ -89,10 +89,6 @@ struct ServerConfig {
   std::size_t max_batch = 8;
   // Bounded request queue; submit blocks while the queue holds this many.
   std::size_t queue_capacity = 64;
-  // Bounded reservoir for latency percentiles (exact max is kept
-  // separately); memory stays O(latency_reservoir) however long the server
-  // lives.
-  std::size_t latency_reservoir = 512;
   // Optional fault schedule applied per request at fulfillment time.
   std::shared_ptr<FaultInjector> fault_injector;
 
@@ -109,9 +105,6 @@ struct ServerConfig {
   // RequestOptions::client_id. 0 disables rate limiting.
   double client_rate = 0.0;
   double client_burst = 4.0;
-  // Bounded per-client latency reservoir (the global reservoir keeps
-  // `latency_reservoir` samples; each client additionally keeps this many).
-  std::size_t client_latency_reservoir = 128;
   // Latency-aware batching: > 0 lets a scheduler tick that woke with fewer
   // than max_batch queued requests wait up to this many milliseconds of
   // real wall time for a fuller batch before draining (it drains early the
@@ -148,12 +141,15 @@ struct RequestOptions {
 };
 
 // Per-client slice of the server-side accounting, keyed by
-// RequestOptions::client_id. Billing semantics mirror the global counters:
+// RequestOptions::client_id. The slices are the only place the server keeps
+// these counts: the global ServerStats counters are their sums.
 // served/faulted/expired/shed terminate accepted (billed) requests;
 // throttled/rejected turn-aways were never accepted (unbilled). The ledger
 // `billed == served + faulted + expired + shed` therefore holds per client,
-// not just globally. Latency percentiles come from a bounded per-client
-// reservoir of ServerConfig::client_latency_reservoir samples.
+// not just globally. Latency figures come from the client's
+// LatencyHistogram: latency_count == served (every served request records
+// one latency), max is exact, and p50/p95 are bucket upper edges clamped to
+// that max.
 struct ClientStats {
   std::int64_t served = 0;
   std::int64_t faulted = 0;
@@ -176,7 +172,11 @@ struct ClientStats {
   }
 };
 
-// Snapshot of server-side accounting (see RetrievalServer::stats).
+// Snapshot of server-side accounting (see RetrievalServer::stats). The
+// request counters and latency figures are computed from the per-client
+// slices — sums, maxima, and percentiles of the bucket-wise merge of their
+// histograms — so they add up to per_client by construction. batches,
+// crashes, the tick histograms and the degradation figures are server-wide.
 struct ServerStats {
   std::int64_t queries_served = 0;   // futures fulfilled with a value
   std::int64_t batches = 0;          // scheduler ticks that processed work
@@ -199,11 +199,11 @@ struct ServerStats {
   // batch_size_counts[s] = number of ticks that drained exactly s requests;
   // index 0 is unused, size() == max_batch + 1.
   std::vector<std::int64_t> batch_size_counts;
-  // Per-request submit→fulfill wall latency. Percentiles are estimated over
-  // a bounded uniform reservoir of `latency_samples_retained` samples out of
-  // `latency_count` observed; the max is exact over all samples.
+  // Per-request submit→fulfill wall latency over every served request:
+  // latency_count and the max are exact; p50/p95 are nearest-rank bucket
+  // upper edges of the merged LatencyHistogram (at most one 2^(1/8) bucket
+  // above the true value), clamped to the max.
   std::int64_t latency_count = 0;
-  std::int64_t latency_samples_retained = 0;
   double p50_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
   double max_latency_ms = 0.0;
@@ -225,9 +225,8 @@ struct ServerStats {
   // everything beyond ~1 s. size() == 12.
   std::vector<std::int64_t> retry_after_buckets;
   // Per-client breakdown keyed by RequestOptions::client_id (std::map for
-  // deterministic iteration order in reports). Every counter above is the
-  // sum of the per-client slices plus, for latency percentiles, the global
-  // reservoir's own estimate.
+  // deterministic iteration order in reports); the request counters above
+  // are its sums.
   std::map<std::string, ClientStats> per_client;
 
   double mean_batch_size() const noexcept {
@@ -239,37 +238,24 @@ struct ServerStats {
 };
 
 // Everything a RetrievalServer must persist for billing reconciliation to
-// hold across a crash/restart: the global counters and histograms, the
-// latency reservoirs (with their replacement-Rng states, so post-restart
-// retention decisions continue the pre-crash stream exactly), every
-// per-client ledger slice, the per-client token-bucket levels, and the
-// degradation accounting. Deliberately NOT included: queue contents (a crash
-// loses in-flight work — that is the point; the lost requests are already
-// terminally accounted as faulted+lost), the live degraded bit (recovery
-// restores the configured index mode; the hysteresis ladder re-enters on its
-// own), and the gallery index (snapshotted separately via
-// RetrievalSystem::save_gallery_index). Serialize with save_snapshot /
-// load_snapshot below.
+// hold across a crash/restart: every per-client ledger slice with its
+// latency histogram (the global counters are recomputed from the slices),
+// the server-wide tick counters and histograms, the per-client token-bucket
+// levels, and the degradation accounting. Deliberately NOT included: queue
+// contents (a crash loses in-flight work — that is the point; the lost
+// requests are already terminally accounted as faulted+lost), the live
+// degraded bit (recovery restores the configured index mode; the hysteresis
+// ladder re-enters on its own), and the gallery index (snapshotted
+// separately via RetrievalSystem::save_gallery_index). Serialize with
+// save_snapshot / load_snapshot below.
 struct ServerSnapshot {
   std::int64_t epoch = 1;
 
-  std::int64_t queries_served = 0;
   std::int64_t batches = 0;
-  std::int64_t faults_injected = 0;
-  std::int64_t requests_throttled = 0;
-  std::int64_t requests_rejected = 0;
-  std::int64_t requests_shed = 0;
-  std::int64_t requests_expired = 0;
-  std::int64_t requests_lost = 0;
   std::int64_t crashes = 0;
   std::vector<std::int64_t> batch_size_counts;
   std::vector<std::int64_t> occupancy_deciles;
   std::vector<std::int64_t> retry_after_buckets;
-
-  std::vector<double> latency_reservoir;
-  std::int64_t latency_count = 0;
-  double max_latency_ms = 0.0;
-  std::uint64_t reservoir_rng_state = 0;
 
   std::int64_t degrade_entries = 0;
   double degraded_accum_ms = 0.0;
@@ -284,10 +270,9 @@ struct ServerSnapshot {
     std::int64_t shed = 0;
     std::int64_t expired = 0;
     std::int64_t lost = 0;
-    std::vector<double> reservoir;
-    std::int64_t latency_count = 0;
+    // LatencyHistogram::buckets() and max_ms(); the buckets sum to served.
+    std::vector<std::int64_t> latency_buckets;
     double max_latency_ms = 0.0;
-    std::uint64_t rng_state = 0;
 
     friend bool operator==(const ClientSlice&, const ClientSlice&) = default;
   };
@@ -300,10 +285,13 @@ struct ServerSnapshot {
       default;
 };
 
-// Durable snapshot files: magic + FNV-1a fingerprint over the payload,
-// committed via models::io::atomic_write — same corruption guarantees as
-// retrieval::save_index / load_index. load_snapshot leaves `snap` untouched
-// on a malformed, truncated, or fingerprint-mismatched file.
+// Durable snapshot files (magic DUOSN2): FNV-1a fingerprint over the
+// payload, committed via models::io::atomic_write — same corruption
+// guarantees as retrieval::save_index / load_index. load_snapshot leaves
+// `snap` untouched on a malformed, truncated, or fingerprint-mismatched
+// file, on a slice whose histogram does not have LatencyHistogram::kBuckets
+// non-negative buckets summing to its served count, and on any other magic
+// (older DUOSN1 files included).
 bool save_snapshot(const ServerSnapshot& snap, const std::string& path);
 bool load_snapshot(ServerSnapshot& snap, const std::string& path);
 
@@ -319,10 +307,6 @@ struct SubmitOutcome {
 
 class RetrievalServer {
  public:
-  // Seed of the latency reservoir's replacement stream: fixed, so reservoir
-  // contents are a pure function of the observed latency sequence.
-  static constexpr std::uint64_t kReservoirSeed = 0x5EEDBA5EDB0BA7E5ULL;
-
   // Borrow an externally owned system (must outlive the server).
   explicit RetrievalServer(retrieval::RetrievalSystem& system,
                            ServerConfig config = {});
@@ -379,7 +363,7 @@ class RetrievalServer {
 
   // Bring a crashed (or shut-down) server back up on the same clock and the
   // same RetrievalSystem, with server_epoch bumped. The snapshot overload
-  // restores every ledger, reservoir, and token-bucket level first — billing
+  // restores every ledger, histogram, and token-bucket level first — billing
   // reconciliation then holds across the restart as if the crash never
   // happened; the bare overload restarts with fresh accounting (epoch still
   // increments). Degraded mode always restarts OFF — the hysteresis ladder
@@ -390,8 +374,8 @@ class RetrievalServer {
   // Monotone restart generation, starting at 1. Stamped into ServerStats.
   std::int64_t epoch() const noexcept;
 
-  // Consistent snapshot of the accounting counters. Percentiles come from a
-  // bounded reservoir (see ServerStats); reset_stats restarts the reservoir.
+  // Consistent snapshot of the accounting counters, computed from the
+  // per-client slices (see ServerStats); reset_stats empties every slice.
   ServerStats stats() const;
   void reset_stats();
 
@@ -421,22 +405,17 @@ class RetrievalServer {
     std::string client_id;     // RequestOptions::client_id, for attribution
   };
 
-  // Mutable per-client accounting slice (guarded by stats_mutex_). Each
-  // client gets its own Algorithm-R reservoir seeded from its id, so the
-  // retained sample set is a pure function of that client's latency
-  // sequence — independent of how other clients' requests interleave.
+  // Mutable per-client accounting slice (guarded by stats_mutex_) — the
+  // only stored copy of each count; stats() sums the slices.
   struct ClientAccounting {
-    std::int64_t served = 0;
+    std::int64_t served = 0;  // == latency.count()
     std::int64_t faulted = 0;
     std::int64_t throttled = 0;
     std::int64_t rejected = 0;
     std::int64_t shed = 0;
     std::int64_t expired = 0;
     std::int64_t lost = 0;  // subset of faulted (crash casualties)
-    std::vector<double> reservoir;
-    std::int64_t latency_count = 0;
-    double max_latency_ms = 0.0;
-    Rng rng{0};
+    LatencyHistogram latency;
   };
 
   void start();
@@ -446,7 +425,7 @@ class RetrievalServer {
   // — a once_flag can never be re-armed.
   void join_scheduler();
   // Fail `lost` requests with ServeError{kConnectionLost, billed=true} and
-  // account them as faulted+lost, globally and per client.
+  // account them as faulted+lost in their clients' slices.
   void fail_lost(std::vector<Request>& lost);
   // Shared restart path (snap == nullptr → fresh accounting).
   void restart_internal(const ServerSnapshot* snap);
@@ -460,12 +439,9 @@ class RetrievalServer {
   // queued requests (also records the occupancy histogram). Called from the
   // scheduler thread only, outside mutex_.
   void update_degradation(std::size_t occupancy);
-  void record_latency(double ms);          // requires stats_mutex_ held
   void record_retry_after(double hint_ms);  // requires stats_mutex_ held
   // Lazily creates the client's slice. Requires stats_mutex_ held.
   ClientAccounting& client_slot(const std::string& client_id);
-  static void record_client_latency(ClientAccounting& c, double ms,
-                                    std::size_t reservoir_cap);
 
   std::unique_ptr<retrieval::RetrievalSystem> owned_;  // empty when borrowed
   retrieval::RetrievalSystem& system_;
@@ -487,21 +463,9 @@ class RetrievalServer {
   std::mutex join_mutex_;  // serializes the scheduler join across racers
 
   mutable std::mutex stats_mutex_;
-  std::int64_t queries_served_ = 0;
   std::int64_t batches_ = 0;
-  std::int64_t faults_injected_ = 0;
-  std::int64_t requests_throttled_ = 0;
-  std::int64_t requests_rejected_ = 0;
-  std::int64_t requests_shed_ = 0;
-  std::int64_t requests_expired_ = 0;
-  std::int64_t requests_lost_ = 0;
   std::int64_t crashes_ = 0;
   std::vector<std::int64_t> batch_size_counts_;
-  // Algorithm-R reservoir over latencies + exact running max and count.
-  std::vector<double> latency_reservoir_;
-  std::int64_t latency_count_ = 0;
-  double max_latency_ms_ = 0.0;
-  Rng reservoir_rng_{kReservoirSeed};
   std::map<std::string, ClientAccounting> clients_;
   // Degradation ladder state. degraded_mode_ is the scheduler thread's
   // private view (no lock); everything below it is the stats mirror under

@@ -15,8 +15,9 @@ namespace io = models::io;
 // File layout is models::io's framed file, shared with the DUOIX1 index:
 // magic, FNV-1a fingerprint over the payload, payload size, payload. The
 // fingerprint makes torn or bit-flipped files fail loudly instead of
-// restoring a subtly wrong ledger.
-constexpr char kSnapshotMagic[8] = {'D', 'U', 'O', 'S', 'N', '1', '\0', '\0'};
+// restoring a subtly wrong ledger. Version 2 stores per-client latency
+// histograms and no global counters; version 1 files are rejected.
+constexpr char kSnapshotMagic[8] = {'D', 'U', 'O', 'S', 'N', '2', '\0', '\0'};
 
 void write_bool(std::ostream& out, bool b) {
   io::write_i64(out, b ? 1 : 0);
@@ -32,22 +33,11 @@ bool read_bool(std::istream& in, bool& b) {
 
 void write_payload(std::ostream& out, const ServerSnapshot& snap) {
   io::write_i64(out, snap.epoch);
-  io::write_i64(out, snap.queries_served);
   io::write_i64(out, snap.batches);
-  io::write_i64(out, snap.faults_injected);
-  io::write_i64(out, snap.requests_throttled);
-  io::write_i64(out, snap.requests_rejected);
-  io::write_i64(out, snap.requests_shed);
-  io::write_i64(out, snap.requests_expired);
-  io::write_i64(out, snap.requests_lost);
   io::write_i64(out, snap.crashes);
   io::write_i64_vec(out, snap.batch_size_counts);
   io::write_i64_vec(out, snap.occupancy_deciles);
   io::write_i64_vec(out, snap.retry_after_buckets);
-  io::write_f64_vec(out, snap.latency_reservoir);
-  io::write_i64(out, snap.latency_count);
-  io::write_f64(out, snap.max_latency_ms);
-  io::write_u64(out, snap.reservoir_rng_state);
   io::write_i64(out, snap.degrade_entries);
   io::write_f64(out, snap.degraded_accum_ms);
   io::write_i64(out, snap.degraded_served);
@@ -61,10 +51,8 @@ void write_payload(std::ostream& out, const ServerSnapshot& snap) {
     io::write_i64(out, c.shed);
     io::write_i64(out, c.expired);
     io::write_i64(out, c.lost);
-    io::write_f64_vec(out, c.reservoir);
-    io::write_i64(out, c.latency_count);
+    io::write_i64_vec(out, c.latency_buckets);
     io::write_f64(out, c.max_latency_ms);
-    io::write_u64(out, c.rng_state);
   }
   write_bool(out, snap.has_limiter);
   if (snap.has_limiter) {
@@ -85,22 +73,11 @@ void write_payload(std::ostream& out, const ServerSnapshot& snap) {
 
 bool read_payload(std::istream& in, ServerSnapshot& snap) {
   if (!io::read_i64(in, snap.epoch) || snap.epoch < 1) return false;
-  if (!io::read_i64(in, snap.queries_served)) return false;
   if (!io::read_i64(in, snap.batches)) return false;
-  if (!io::read_i64(in, snap.faults_injected)) return false;
-  if (!io::read_i64(in, snap.requests_throttled)) return false;
-  if (!io::read_i64(in, snap.requests_rejected)) return false;
-  if (!io::read_i64(in, snap.requests_shed)) return false;
-  if (!io::read_i64(in, snap.requests_expired)) return false;
-  if (!io::read_i64(in, snap.requests_lost)) return false;
   if (!io::read_i64(in, snap.crashes)) return false;
   if (!io::read_i64_vec(in, snap.batch_size_counts)) return false;
   if (!io::read_i64_vec(in, snap.occupancy_deciles)) return false;
   if (!io::read_i64_vec(in, snap.retry_after_buckets)) return false;
-  if (!io::read_f64_vec(in, snap.latency_reservoir)) return false;
-  if (!io::read_i64(in, snap.latency_count)) return false;
-  if (!io::read_f64(in, snap.max_latency_ms)) return false;
-  if (!io::read_u64(in, snap.reservoir_rng_state)) return false;
   if (!io::read_i64(in, snap.degrade_entries)) return false;
   if (!io::read_f64(in, snap.degraded_accum_ms)) return false;
   if (!io::read_i64(in, snap.degraded_served)) return false;
@@ -124,10 +101,14 @@ bool read_payload(std::istream& in, ServerSnapshot& snap) {
     if (!io::read_i64(in, c.shed)) return false;
     if (!io::read_i64(in, c.expired)) return false;
     if (!io::read_i64(in, c.lost)) return false;
-    if (!io::read_f64_vec(in, c.reservoir)) return false;
-    if (!io::read_i64(in, c.latency_count)) return false;
+    if (!io::read_i64_vec(in, c.latency_buckets)) return false;
     if (!io::read_f64(in, c.max_latency_ms)) return false;
-    if (!io::read_u64(in, c.rng_state)) return false;
+    // The histogram must have the fixed layout and account for exactly the
+    // slice's served requests, as restart() will demand.
+    if (!LatencyHistogram().assign(c.latency_buckets, c.max_latency_ms,
+                                   c.served)) {
+      return false;
+    }
     snap.clients.push_back(std::move(c));
   }
   if (!read_bool(in, snap.has_limiter)) return false;

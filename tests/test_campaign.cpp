@@ -260,7 +260,7 @@ TEST(Fairness, JainIndex) {
   EXPECT_NEAR(campaign::jain_index({1.0, 0.0, 0.0, 0.0}), 0.25, 1e-12);
 }
 
-TEST(Fairness, SummarizeDetectsLedgerMismatch) {
+TEST(Fairness, SummarizesPerClientBreakdown) {
   serve::ServerStats stats;
   serve::ClientStats a;
   a.served = 4;
@@ -269,22 +269,14 @@ TEST(Fairness, SummarizeDetectsLedgerMismatch) {
   b.served = 2;
   b.throttled = 3;
   stats.per_client = {{"a", a}, {"b", b}};
-  stats.queries_served = 6;
-  stats.faults_injected = 1;
-  stats.requests_throttled = 3;
 
   campaign::FairnessSummary ok = campaign::summarize_fairness(stats);
-  EXPECT_TRUE(ok.ledger_ok);
   EXPECT_EQ(ok.clients, 2);
   EXPECT_EQ(ok.billed_total, 7);
   EXPECT_EQ(ok.most_served_client, "a");
   EXPECT_EQ(ok.least_served_client, "b");
   EXPECT_GT(ok.jain_served, 0.0);
   EXPECT_LE(ok.jain_served, 1.0);
-
-  // Losing a served request from the global counter breaks reconciliation.
-  stats.queries_served = 5;
-  EXPECT_FALSE(campaign::summarize_fairness(stats).ledger_ok);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +341,6 @@ TEST(Campaign, MixedTrafficLedgerReconciles) {
   EXPECT_TRUE(out.all_completed());
   EXPECT_TRUE(out.ledger_ok);
   EXPECT_EQ(out.client_billed, out.server_billed);
-  EXPECT_TRUE(out.fairness.ledger_ok);
   EXPECT_EQ(out.fairness.clients,
             static_cast<std::int64_t>(m.sessions.size()));
   EXPECT_GT(out.fairness.jain_served, 0.0);

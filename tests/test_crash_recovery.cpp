@@ -267,25 +267,24 @@ TEST(CrashRecovery, TokenBucketAndRateLimiterStateRoundTrip) {
   }
 }
 
+// The slice's persisted histogram for `latencies_ms`; served must equal
+// latencies_ms.size().
+void set_latencies(serve::ServerSnapshot::ClientSlice& slice,
+                   const std::vector<double>& latencies_ms) {
+  serve::LatencyHistogram h;
+  for (const double ms : latencies_ms) h.record(ms);
+  slice.latency_buckets.assign(h.buckets().begin(), h.buckets().end());
+  slice.max_latency_ms = h.max_ms();
+}
+
 serve::ServerSnapshot sample_snapshot() {
   serve::ServerSnapshot snap;
   snap.epoch = 3;
-  snap.queries_served = 17;
   snap.batches = 9;
-  snap.faults_injected = 4;
-  snap.requests_throttled = 2;
-  snap.requests_rejected = 1;
-  snap.requests_shed = 1;
-  snap.requests_expired = 2;
-  snap.requests_lost = 3;
   snap.crashes = 2;
   snap.batch_size_counts = {0, 3, 4, 2};
   snap.occupancy_deciles = {5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 1};
   snap.retry_after_buckets = {1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  snap.latency_reservoir = {0.5, 1.25, 9.0};
-  snap.latency_count = 17;
-  snap.max_latency_ms = 9.0;
-  snap.reservoir_rng_state = 0xABCDEF0123456789ULL;
   snap.degrade_entries = 1;
   snap.degraded_accum_ms = 12.5;
   snap.degraded_served = 6;
@@ -293,20 +292,18 @@ serve::ServerSnapshot sample_snapshot() {
   a.id = "alpha";
   a.served = 10;
   a.faulted = 3;
+  a.throttled = 2;
   a.lost = 2;
-  a.reservoir = {0.5, 1.25};
-  a.latency_count = 10;
-  a.max_latency_ms = 1.25;
-  a.rng_state = 11;
+  set_latencies(a, {0.5, 1.25, 0.5, 0.75, 1.0, 0.5, 1.25, 0.25, 0.5, 1.0});
   serve::ServerSnapshot::ClientSlice b;
   b.id = "beta";
   b.served = 7;
+  b.faulted = 1;
+  b.rejected = 1;
+  b.lost = 1;
   b.expired = 2;
   b.shed = 1;
-  b.reservoir = {9.0};
-  b.latency_count = 7;
-  b.max_latency_ms = 9.0;
-  b.rng_state = 22;
+  set_latencies(b, {9.0, 2.0, 3.5, 0.004, 2.0, 250000.0, 7.5});
   snap.clients = {a, b};
   snap.has_limiter = true;
   snap.limiter.rate = 5.0;
@@ -357,6 +354,97 @@ TEST(CrashRecovery, ServerSnapshotFileRoundTripsAndRejectsCorruption) {
   std::swap(unsorted.clients[0], unsorted.clients[1]);
   ASSERT_TRUE(serve::save_snapshot(unsorted, path));
   EXPECT_FALSE(serve::load_snapshot(loaded, path));
+  std::remove(path.c_str());
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes,
+                 std::size_t n) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(n));
+}
+
+// Mutation sweep over a saved DUOSN2 file: every truncation and every
+// single-byte flip must be rejected with the target left exactly as it was.
+TEST(CrashRecovery, SnapshotLoaderRejectsEveryTruncationAndByteFlip) {
+  const std::string good = ::testing::TempDir() + "duo_mutation_good.snap";
+  const std::string path = ::testing::TempDir() + "duo_mutation.snap";
+  ASSERT_TRUE(serve::save_snapshot(sample_snapshot(), good));
+  const std::vector<char> bytes = read_bytes(good);
+  ASSERT_GT(bytes.size(), 24u);  // magic + fingerprint + size + payload
+
+  serve::ServerSnapshot sentinel = sample_snapshot();
+  sentinel.epoch = 42;
+  const serve::ServerSnapshot expected = sentinel;
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    write_bytes(path, bytes, cut);
+    ASSERT_FALSE(serve::load_snapshot(sentinel, path)) << "cut at " << cut;
+    ASSERT_TRUE(sentinel == expected) << "cut at " << cut;
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<char> flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+    write_bytes(path, flipped, flipped.size());
+    ASSERT_FALSE(serve::load_snapshot(sentinel, path)) << "flip at " << i;
+    ASSERT_TRUE(sentinel == expected) << "flip at " << i;
+  }
+  // The unmutated file still loads exactly.
+  serve::ServerSnapshot loaded;
+  ASSERT_TRUE(serve::load_snapshot(loaded, good));
+  EXPECT_TRUE(loaded == sample_snapshot());
+  std::remove(good.c_str());
+  std::remove(path.c_str());
+}
+
+// Well-fingerprinted files that are structurally wrong: a histogram with
+// the wrong bucket count, a negative bucket, buckets that do not sum to the
+// slice's served count, and a DUOSN1 magic in front of a valid payload.
+TEST(CrashRecovery, SnapshotLoaderRejectsMalformedHistogramsAndOldMagic) {
+  const std::string path = ::testing::TempDir() + "duo_malformed.snap";
+  serve::ServerSnapshot sentinel = sample_snapshot();
+  sentinel.epoch = 42;
+  const serve::ServerSnapshot expected = sentinel;
+  const auto rejects = [&](const serve::ServerSnapshot& bad) {
+    if (!serve::save_snapshot(bad, path)) return false;
+    return !serve::load_snapshot(sentinel, path) && sentinel == expected;
+  };
+
+  serve::ServerSnapshot short_histogram = sample_snapshot();
+  short_histogram.clients[0].latency_buckets.pop_back();
+  EXPECT_TRUE(rejects(short_histogram));
+
+  serve::ServerSnapshot long_histogram = sample_snapshot();
+  long_histogram.clients[1].latency_buckets.push_back(0);
+  EXPECT_TRUE(rejects(long_histogram));
+
+  // Same sum, but one bucket negative.
+  serve::ServerSnapshot negative = sample_snapshot();
+  negative.clients[0].latency_buckets[0] -= 1;
+  negative.clients[0].latency_buckets[1] += 1;
+  ASSERT_LT(negative.clients[0].latency_buckets[0], 0);
+  EXPECT_TRUE(rejects(negative));
+
+  serve::ServerSnapshot miscounted = sample_snapshot();
+  miscounted.clients[1].served += 1;
+  EXPECT_TRUE(rejects(miscounted));
+
+  serve::ServerSnapshot empty_histogram = sample_snapshot();
+  empty_histogram.clients[0].latency_buckets.clear();
+  EXPECT_TRUE(rejects(empty_histogram));
+
+  // The fingerprint covers only the payload, so relabelling a valid file
+  // DUOSN1 leaves it otherwise intact: the version check alone rejects it.
+  ASSERT_TRUE(serve::save_snapshot(sample_snapshot(), path));
+  std::vector<char> bytes = read_bytes(path);
+  ASSERT_EQ(std::string(bytes.data(), 6), "DUOSN2");
+  bytes[5] = '1';
+  write_bytes(path, bytes, bytes.size());
+  EXPECT_FALSE(serve::load_snapshot(sentinel, path));
+  EXPECT_TRUE(sentinel == expected);
   std::remove(path.c_str());
 }
 
@@ -413,8 +501,6 @@ TEST(CrashRecovery, CrashFailsQueuedRequestsBilledAndRestartResumes) {
 
   serve::ServerSnapshot snap = server.snapshot();
   EXPECT_EQ(snap.epoch, 1);
-  EXPECT_EQ(snap.requests_lost, 2);
-  EXPECT_EQ(snap.faults_injected, 2);
   EXPECT_EQ(snap.crashes, 1);
   ASSERT_EQ(snap.clients.size(), 1u);
   EXPECT_EQ(snap.clients[0].id, "crash-client");
@@ -483,7 +569,7 @@ TEST(CrashRecovery, SubmitsWhileCrashedDoNotSpendRateLimitTokens) {
     }
   }
   const serve::ServerSnapshot snap = server.snapshot();
-  EXPECT_EQ(snap.requests_throttled, 0);
+  for (const auto& c : snap.clients) EXPECT_EQ(c.throttled, 0) << c.id;
 
   // The full burst is still there after the restart, at the same clock time.
   server.restart(snap);
@@ -538,7 +624,8 @@ TEST(CrashRecovery, PipelinedPairReplaysAcrossRestartBitwise) {
   auto minus = resilient.submit(v_minus, 8);
   server.crash();
   serve::ServerSnapshot snap = server.snapshot();
-  EXPECT_EQ(snap.requests_lost, 2);
+  ASSERT_EQ(snap.clients.size(), 1u);
+  EXPECT_EQ(snap.clients[0].lost, 2);
   server.restart(snap);
 
   // get() classifies the connection loss, waits out the downtime (already

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -16,12 +18,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "metrics/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/async_handle.hpp"
 #include "serve/clock.hpp"
 #include "serve/fault_injection.hpp"
+#include "serve/latency_histogram.hpp"
 #include "serve/resilient.hpp"
 #include "serve/server.hpp"
 #include "video/synthetic.hpp"
@@ -278,9 +282,6 @@ TEST(Serve, RejectsDegenerateConfig) {
   ServerConfig no_queue;
   no_queue.queue_capacity = 0;
   EXPECT_THROW(RetrievalServer(*w.system, no_queue), std::logic_error);
-  ServerConfig no_reservoir;
-  no_reservoir.latency_reservoir = 0;
-  EXPECT_THROW(RetrievalServer(*w.system, no_reservoir), std::logic_error);
   ServerConfig negative_timeout;
   negative_timeout.batch_timeout_ms = -1.0;
   EXPECT_THROW(RetrievalServer(*w.system, negative_timeout), std::logic_error);
@@ -326,13 +327,12 @@ TEST(Serve, ConcurrentShutdownIsSafe) {
   server.shutdown();  // still idempotent afterwards
 }
 
-// Satellite regression: latency stats must stay O(latency_reservoir) however
-// many queries the server lives through, with an exact max and count.
+// Latency stats stay O(1) in memory however many queries the server lives
+// through (a fixed-layout histogram per client), with an exact max and count.
 TEST(Serve, LatencyStatsUseBoundedReservoir) {
   auto& w = ServeWorld::mutable_instance();
   ServerConfig cfg;
   cfg.max_batch = 4;
-  cfg.latency_reservoir = 16;
   RetrievalServer server(*w.system, cfg);
 
   const int n = 60;
@@ -347,7 +347,6 @@ TEST(Serve, LatencyStatsUseBoundedReservoir) {
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.latency_count, n);
-  EXPECT_EQ(stats.latency_samples_retained, 16);
   EXPECT_GE(stats.p50_latency_ms, 0.0);
   EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
   EXPECT_LE(stats.p95_latency_ms, stats.max_latency_ms);
@@ -355,7 +354,6 @@ TEST(Serve, LatencyStatsUseBoundedReservoir) {
   server.reset_stats();
   const ServerStats zeroed = server.stats();
   EXPECT_EQ(zeroed.latency_count, 0);
-  EXPECT_EQ(zeroed.latency_samples_retained, 0);
   EXPECT_DOUBLE_EQ(zeroed.max_latency_ms, 0.0);
 }
 
@@ -1667,6 +1665,131 @@ TEST(Admission, RetryAfterHintsLandInTheExpectedHistogramBucket) {
   EXPECT_EQ(std::accumulate(stats.retry_after_buckets.begin(),
                             stats.retry_after_buckets.end(), std::int64_t{0}),
             stats.requests_throttled + stats.requests_rejected);
+}
+
+// ---------------------------------------------------------------------------
+// LatencyHistogram: the one latency accounting, per client and merged.
+// ---------------------------------------------------------------------------
+
+// Exact nearest-rank percentile: the llround(q·(n−1))-th smallest value.
+double exact_percentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  return xs[static_cast<std::size_t>(
+      std::llround(q * static_cast<double>(xs.size() - 1)))];
+}
+
+// Known value sets inside the covered range (~1 µs to ~2 min).
+std::vector<std::vector<double>> known_latency_sets() {
+  std::vector<double> linear;
+  for (int i = 1; i <= 1000; ++i) linear.push_back(0.01 * i);
+  std::vector<double> log_uniform;
+  Rng rng(0x1A7E);
+  for (int i = 0; i < 777; ++i) {
+    log_uniform.push_back(std::exp2(rng.uniform(-9.5, 16.5)));
+  }
+  const std::vector<double> ties = {3.0, 3.0, 3.0, 3.0, 0.2, 50.0, 50.0};
+  const std::vector<double> single = {12.5};
+  return {linear, log_uniform, ties, single};
+}
+
+TEST(ServeHistogram, PercentilesLieWithinOneBucketOfExactNearestRank) {
+  const double bucket_ratio =
+      std::exp2(1.0 / LatencyHistogram::kBucketsPerOctave);
+  for (const auto& xs : known_latency_sets()) {
+    LatencyHistogram h;
+    for (const double x : xs) h.record(x);
+    ASSERT_EQ(h.count(), static_cast<std::int64_t>(xs.size()));
+    EXPECT_DOUBLE_EQ(h.max_ms(), *std::max_element(xs.begin(), xs.end()));
+    for (const double q : {0.50, 0.95}) {
+      const double exact = exact_percentile(xs, q);
+      const double got = h.percentile(q);
+      // The reported value is the upper edge of the bucket holding the
+      // exact sample: never below it, never a full bucket above it.
+      EXPECT_GE(got, exact) << "q=" << q << " n=" << xs.size();
+      EXPECT_LE(got, exact * bucket_ratio) << "q=" << q << " n=" << xs.size();
+    }
+  }
+
+  // Outside the covered range the edges stop helping, but the exact max
+  // still bounds every percentile.
+  LatencyHistogram overflow;
+  for (const double x : {200000.0, 300000.0, 250000.0}) overflow.record(x);
+  EXPECT_DOUBLE_EQ(overflow.percentile(0.50), 300000.0);
+  LatencyHistogram underflow;
+  underflow.record(1e-4);
+  EXPECT_DOUBLE_EQ(underflow.percentile(0.95), 1e-4);
+  EXPECT_DOUBLE_EQ(LatencyHistogram().percentile(0.5), 0.0);
+}
+
+TEST(ServeHistogram, MergingHalvesEqualsRecordingEverything) {
+  for (const auto& xs : known_latency_sets()) {
+    LatencyHistogram all;
+    LatencyHistogram first;
+    LatencyHistogram second;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      all.record(xs[i]);
+      (i < xs.size() / 2 ? first : second).record(xs[i]);
+    }
+    LatencyHistogram merged = first;
+    merged.merge(second);
+    EXPECT_EQ(merged.buckets(), all.buckets());
+    EXPECT_TRUE(merged == all);
+    EXPECT_EQ(merged.percentile(0.95), all.percentile(0.95));
+  }
+}
+
+TEST(ServeHistogram, ServerPercentilesAreOrderedAndResetZeroesThem) {
+  auto& w = ServeWorld::mutable_instance();
+  ServerConfig cfg;
+  cfg.max_batch = 2;
+  RetrievalServer server(*w.system, cfg);
+  RequestOptions alice;
+  alice.client_id = "alice";
+  RequestOptions bob;
+  bob.client_id = "bob";
+  for (int i = 0; i < 12; ++i) {
+    const auto& v = w.dataset.test[static_cast<std::size_t>(i) %
+                                   w.dataset.test.size()];
+    (void)server.submit(v, 5, i % 3 == 0 ? bob : alice).get();
+  }
+  server.shutdown();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.latency_count, 12);
+  EXPECT_GT(stats.max_latency_ms, 0.0);
+  EXPECT_LE(stats.p50_latency_ms, stats.p95_latency_ms);
+  EXPECT_LE(stats.p95_latency_ms, stats.max_latency_ms);
+  double client_max = 0.0;
+  for (const auto& [id, c] : stats.per_client) {
+    EXPECT_EQ(c.latency_count, c.served) << id;
+    EXPECT_LE(c.p50_latency_ms, c.p95_latency_ms) << id;
+    EXPECT_LE(c.p95_latency_ms, c.max_latency_ms) << id;
+    client_max = std::max(client_max, c.max_latency_ms);
+  }
+  EXPECT_EQ(stats.max_latency_ms, client_max);
+
+  // The snapshot carries each client's histogram; the restored server
+  // reports the same figures.
+  const ServerSnapshot snap = server.snapshot();
+  for (const auto& slice : snap.clients) {
+    EXPECT_EQ(slice.latency_buckets.size(), LatencyHistogram::kBuckets);
+  }
+  server.restart(snap);
+  server.shutdown();
+  const ServerStats restored = server.stats();
+  EXPECT_EQ(restored.latency_count, stats.latency_count);
+  EXPECT_EQ(restored.p50_latency_ms, stats.p50_latency_ms);
+  EXPECT_EQ(restored.p95_latency_ms, stats.p95_latency_ms);
+  EXPECT_EQ(restored.max_latency_ms, stats.max_latency_ms);
+
+  server.reset_stats();
+  const ServerStats zeroed = server.stats();
+  EXPECT_EQ(zeroed.latency_count, 0);
+  EXPECT_DOUBLE_EQ(zeroed.p50_latency_ms, 0.0);
+  EXPECT_DOUBLE_EQ(zeroed.p95_latency_ms, 0.0);
+  EXPECT_DOUBLE_EQ(zeroed.max_latency_ms, 0.0);
+  EXPECT_TRUE(zeroed.per_client.empty());
+  EXPECT_TRUE(server.snapshot().clients.empty());
 }
 
 }  // namespace
